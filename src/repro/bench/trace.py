@@ -1,9 +1,9 @@
 """``python -m repro.bench --trace``: per-query TPC-H trace summaries.
 
 Loads TPC-H into a fresh in-memory embedded database and runs each query
-with the :mod:`repro.obs` tracer attached, printing a compact summary per
-query (instruction count, wall time, result size, hottest instructions
-with their tactical choices).  This is the profiling loop MonetDB exposes
+through :meth:`~repro.core.connection.Connection.trace_query`, printing a
+compact summary of its span tree per query (instruction count, wall time,
+result size, hottest instruction spans with their tactical choices).  This is the profiling loop MonetDB exposes
 via ``TRACE``: the same query plan annotated with what the engine
 actually did.
 """
@@ -20,7 +20,7 @@ def run_traced_queries(
     queries: list | None = None,
     seed: int = 42,
 ) -> dict:
-    """Run TPC-H queries traced; returns ``{name: (Result, QueryTrace)}``."""
+    """Run TPC-H queries traced; returns ``{name: (Result, span dicts)}``."""
     from repro.core.database import Database
 
     names = list(queries) if queries else list(QUERIES)
@@ -47,18 +47,25 @@ def trace_report(
     """Human-readable trace summaries for the selected TPC-H queries."""
     traced = run_traced_queries(scale_factor, queries=queries, seed=seed)
     lines = [f"TPC-H trace summaries (SF={scale_factor})", ""]
-    for name, (result, trace) in traced.items():
-        summary = trace.summary()
-        lines.append(
-            f"Q{name}: {summary['instructions']} instructions, "
-            f"{summary['total_us']:.0f} us, {result.nrows} rows"
+    for name, (result, spans) in traced.items():
+        instructions = [s for s in spans if s["kind"] == "instruction"]
+        execute = next(
+            s for s in spans if s["kind"] == "phase" and s["name"] == "execute"
         )
-        for profile in trace.top_instructions(top):
-            tactic = f" [{profile.tactic}]" if profile.tactic else ""
+        lines.append(
+            f"Q{name}: {len(instructions)} instructions, "
+            f"{execute['duration_us']:.0f} us, {result.nrows} rows"
+        )
+        hottest = sorted(
+            enumerate(instructions), key=lambda item: -item[1]["duration_us"]
+        )[:top]
+        for index, span in hottest:
+            attrs = span["attrs"]
+            tactic = f" [{attrs['tactic']}]" if attrs.get("tactic") else ""
             lines.append(
-                f"    #{profile.index:<3} {profile.wall_ns / 1000:9.1f} us  "
-                f"{profile.op:<10}{tactic}  "
-                f"rows {profile.rows_in} -> {profile.rows_out}"
+                f"    #{index:<3} {span['duration_us']:9.1f} us  "
+                f"{span['name']:<10}{tactic}  "
+                f"rows {attrs['rows_in']} -> {attrs['rows_out']}"
             )
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

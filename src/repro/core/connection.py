@@ -37,7 +37,6 @@ from repro.mal.codegen import compile_select
 from repro.mal.interpreter import ExecutionContext, Interpreter, MaterializedResult
 from repro.mal.vector_eval import eval_pred, eval_value
 from repro.mal.vectors import vec_from_column, vec_to_column
-from repro.obs import QueryTrace
 from repro.obs.spans import Span, new_span_id, new_trace_id, render_tree
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -46,6 +45,8 @@ from repro.storage.column import Column
 from repro.txn.transaction import Transaction
 
 __all__ = ["Connection"]
+
+_SELECTS = (ast.SelectStmt, ast.SetOpStmt)
 
 
 class Connection:
@@ -81,8 +82,8 @@ class Connection:
         self._prepared.clear()
         if self._open:
             self._database.unregister_session(self.session_id)
-            tracer = getattr(self._database, "span_tracer", None)
-            if tracer is not None and tracer.enabled:
+            tracer = self._database.span_tracer
+            if tracer.enabled:
                 tracer.record_span(Span(
                     self._session_trace_id, self._session_span_id, None,
                     f"session:{self.client}", "session", self.session_id,
@@ -178,6 +179,16 @@ class Connection:
             raise InterfaceError("statement produced no result")
         return result
 
+    def _parse_one(self, sql: str, what: str):
+        """Parse exactly one statement; returns ``(statement, parse_ns)``."""
+        self._check_open()
+        started = time.perf_counter_ns()
+        statements = parse(sql)
+        parse_ns = time.perf_counter_ns() - started
+        if len(statements) != 1:
+            raise InterfaceError(f"{what} takes exactly one statement")
+        return statements[0], parse_ns
+
     def _execute_statement(
         self, statement, sql: str = "", parse_ns: int = 0, params=None,
         copy_data=None,
@@ -218,10 +229,9 @@ class Connection:
                     self._txn = None
                 raise
 
-        if isinstance(statement, (ast.SelectStmt, ast.SetOpStmt)):
-            return self._execute_select_statement(
-                statement, sql, parse_ns, params=params
-            )
+        if isinstance(statement, _SELECTS):
+            return self._execute_select(statement, sql, parse_ns,
+                                        params=params)
         if params is not None and param_count(statement):
             # parametrized DML re-binds per execution with the values
             # substituted as literals (only SELECT plans carry live
@@ -233,70 +243,30 @@ class Connection:
     def _execute_generic(
         self, statement, sql: str = "", parse_ns: int = 0, copy_data=None
     ) -> Result | None:
-        phases = {"parse": parse_ns} if parse_ns else {}
-        started_wall = time.time()
-        # back-date so total_us covers the parse phase charged to us
-        started = time.perf_counter_ns() - parse_ns
-        spans = self._begin_spans(sql, parse_ns)
-        txn, autocommit = self._statement_txn()
-        try:
-            bind_start = time.perf_counter_ns()
-            bound = bind_statement(
-                statement, lambda name: txn.resolve_table(name).schema
-            )
-            bind_done = time.perf_counter_ns()
-            phases["bind"] = bind_done - bind_start
-            if spans is not None:
-                spans.record("bind", "phase", bind_start, bind_done)
-            result = self._dispatch(bound, txn, phases, copy_data=copy_data,
-                                    spans=spans)
-            if autocommit:
-                self._database.txn_manager.commit(txn)
-            self._log_statement(sql, "ok", None, result, started_wall,
-                                started, phases)
-            if spans is not None:
-                spans.finish(
-                    "ok", rows=result.nrows if result is not None else 0
-                )
-            return result
-        except Exception as exc:
-            if autocommit:
-                self._database.txn_manager.rollback(txn)
-            else:
-                # an error inside an explicit transaction aborts it
-                self._database.txn_manager.rollback(txn)
-                self._txn = None
-            self._stats_incr("query_errors")
-            self._log_statement(sql, "error", str(exc), None, started_wall,
-                                started, phases)
-            if spans is not None:
-                spans.finish("error", error=str(exc))
-            raise
+        """Run one non-SELECT statement.
 
-    # -- cached SELECT path ---------------------------------------------------------
-
-    def _select_cache_deps(self, statement, txn):
-        """(deps, cacheable) for a SELECT under ``txn``.
-
-        ``deps`` is a sorted tuple of (normalized name, Table, pinned
-        committed version).  Statements touching virtual sys.* views or
-        tables created inside the current transaction are not cacheable.
+        The subselect of ``INSERT ... SELECT`` / ``COPY (SELECT) TO`` is
+        planned after binding and run inside the execute phase, which
+        covers the whole statement body.
         """
-        cacheable = True
-        deps = []
-        for name in sorted(referenced_tables(statement)):
-            table = txn.resolve_table(name)
-            if getattr(table, "is_virtual", False):
-                cacheable = False
-                continue
-            key = txn._norm(name)
-            if key in txn._created:
-                cacheable = False
-                continue
-            deps.append((key, table, txn.snapshot_version(table).version))
-        return tuple(deps), cacheable
+        with _Statement(self, sql, parse_ns) as stmt:
+            bound = self._bind(stmt, statement)
+            select = (
+                bound.select
+                if isinstance(bound, (N.BoundInsert, N.BoundCopyTo))
+                else None
+            )
+            program = None if select is None else self._plan(stmt, select)[0]
+            span = stmt.open_phase("execute")
+            selected = None
+            if program is not None:
+                selected = stmt.run(program)
+                self._count_select(selected)
+            stmt.result = self._dispatch(bound, stmt, selected, copy_data)
+            stmt.lap("execute", span)
+        return stmt.result
 
-    def _execute_select_statement(
+    def _execute_select(
         self, statement, sql: str = "", parse_ns: int = 0, params=None
     ) -> Result:
         """Run one SELECT through the plan/result caches.
@@ -306,16 +276,10 @@ class Connection:
         skips execution and serves the stored materialized result.
         """
         database = self._database
-        phases = {"parse": parse_ns} if parse_ns else {}
-        started_wall = time.time()
-        started = time.perf_counter_ns() - parse_ns
-        spans = self._begin_spans(sql, parse_ns)
-        txn, autocommit = self._statement_txn()
-        cache_status = ""
-        try:
+        values = tuple(params) if params is not None else None
+        with _Statement(self, sql, parse_ns) as stmt:
+            txn = stmt.txn
             deps, cacheable = self._select_cache_deps(statement, txn)
-            values = tuple(params) if params is not None else None
-
             result_key = None
             if (
                 cacheable
@@ -343,80 +307,100 @@ class Connection:
             if result_key is not None:
                 materialized = database.result_cache.lookup(result_key)
                 if materialized is not None:
-                    cache_status = "result"
-
+                    stmt.cache = "result"
             if materialized is None:
-                entry = (
-                    database.plan_cache.lookup(statement, txn)
-                    if cacheable
-                    else None
+                program, _ = self._plan(
+                    stmt, statement, deps if cacheable else None
                 )
-                if entry is not None:
-                    program = entry.program
-                    cache_status = "plan"
-                    if spans is not None:
-                        spans.rows_estimate = entry.rows_estimate
-                else:
-                    bind_start = time.perf_counter_ns()
-                    bound = bind_statement(
-                        statement, lambda name: txn.resolve_table(name).schema
-                    )
-                    optimize_start = time.perf_counter_ns()
-                    optimized = optimize(bound, self._nrows_estimator(txn))
-                    compile_start = time.perf_counter_ns()
-                    program = compile_select(optimized)
-                    done = time.perf_counter_ns()
-                    phases["bind"] = optimize_start - bind_start
-                    phases["optimize"] = compile_start - optimize_start
-                    phases["compile"] = done - compile_start
-                    rows_estimate = int(estimate_rows(
-                        optimized.plan, self._nrows_estimator(txn)
-                    ))
-                    if spans is not None:
-                        spans.record("bind", "phase", bind_start,
-                                     optimize_start)
-                        spans.record("optimize", "phase", optimize_start,
-                                     compile_start)
-                        spans.record("compile", "phase", compile_start, done)
-                        spans.rows_estimate = rows_estimate
-                    if cacheable:
-                        database.plan_cache.store(
-                            statement,
-                            PlanCacheEntry(
-                                program, deps, rows_estimate=rows_estimate
-                            ),
-                        )
-                ctx = ExecutionContext(
-                    database, txn, database.config, phases=phases,
-                    params=values, spans=spans,
-                )
-                materialized = Interpreter(ctx).run(program)
+                materialized = stmt.execute(program, values)
                 if result_key is not None:
                     database.result_cache.store(
                         result_key, materialized, [t for _, t, _ in deps]
                     )
+            self._count_select(materialized)
+            stmt.result = Result(materialized, self._stats())
+        return stmt.result
 
-            self._stats_incr("queries")
-            self._stats_incr("rows_returned", materialized.nrows)
-            result = Result(materialized, self._stats())
-            if autocommit:
-                database.txn_manager.commit(txn)
-            self._log_statement(sql, "ok", None, result, started_wall,
-                                started, phases, cache=cache_status)
-            if spans is not None:
-                spans.finish("ok", rows=materialized.nrows,
-                             cache=cache_status)
-            return result
-        except Exception as exc:
-            database.txn_manager.rollback(txn)
-            if not autocommit:
-                self._txn = None
-            self._stats_incr("query_errors")
-            self._log_statement(sql, "error", str(exc), None, started_wall,
-                                started, phases, cache=cache_status)
-            if spans is not None:
-                spans.finish("error", error=str(exc), cache=cache_status)
-            raise
+    # -- planning: one pipeline for every caller ------------------------------------
+
+    def _select_cache_deps(self, statement, txn):
+        """(deps, cacheable) for a SELECT under ``txn``.
+
+        ``deps`` is a sorted tuple of (normalized name, Table, pinned
+        committed version).  Statements touching virtual sys.* views or
+        tables created inside the current transaction are not cacheable.
+        """
+        cacheable = True
+        deps = []
+        for name in sorted(referenced_tables(statement)):
+            table = txn.resolve_table(name)
+            if getattr(table, "is_virtual", False):
+                cacheable = False
+                continue
+            key = txn._norm(name)
+            if key in txn._created:
+                cacheable = False
+                continue
+            deps.append((key, table, txn.snapshot_version(table).version))
+        return tuple(deps), cacheable
+
+    def _bind(self, stmt: "_Statement", statement):
+        """The bind phase: resolve ``statement`` in the statement's txn."""
+        txn = stmt.txn
+        bound = bind_statement(
+            statement, lambda name: txn.resolve_table(name).schema
+        )
+        stmt.lap("bind")
+        return bound
+
+    def _plan(self, stmt: "_Statement", statement, deps=None):
+        """Plan one SELECT; returns ``(program, optimized)``.
+
+        ``statement`` is a parsed SELECT (bound here) or an already bound
+        :class:`~repro.algebra.nodes.BoundSelect` (the subselect of DML).
+        With ``deps`` (see :meth:`_select_cache_deps`) the plan cache is
+        consulted first — a hit skips every planning phase and returns
+        ``optimized=None`` — and a fresh plan is stored under them.
+        Without, the statement is planned from scratch and not stored:
+        EXPLAIN and :meth:`trace_query` pass none so they show every phase.
+        """
+        spans = stmt.spans
+        cache = self._database.plan_cache
+        if deps is not None:
+            entry = cache.lookup(statement, stmt.txn)
+            if entry is not None:
+                stmt.cache = "plan"
+                if spans is not None:
+                    spans.rows_estimate = entry.rows_estimate
+                return entry.program, None
+        bound = (
+            statement if isinstance(statement, N.BoundSelect)
+            else self._bind(stmt, statement)
+        )
+        estimator = self._nrows_estimator(stmt.txn)
+        optimized = optimize(bound, estimator)
+        rows_estimate = int(estimate_rows(optimized.plan, estimator))
+        stmt.lap("optimize")
+        program = compile_select(optimized)
+        stmt.lap("compile")
+        if spans is not None:
+            spans.rows_estimate = rows_estimate
+        if deps is not None:
+            cache.store(
+                statement,
+                PlanCacheEntry(program, deps, rows_estimate=rows_estimate),
+            )
+        return program, optimized
+
+    @staticmethod
+    def _nrows_estimator(txn):
+        """Cardinality source for the optimizer: the txn's pinned snapshot
+        (which also statement-caches virtual sys.* materializations)."""
+        return lambda name: txn.snapshot_version(txn.resolve_table(name)).nrows
+
+    def _count_select(self, materialized) -> None:
+        self._stats_incr("queries")
+        self._stats_incr("rows_returned", materialized.nrows)
 
     # -- prepared statements --------------------------------------------------------
 
@@ -426,11 +410,7 @@ class Connection:
         Returns a :class:`~repro.cache.PreparedStatement` handle; pass
         ``name`` to make it addressable from SQL ``EXECUTE`` too.
         """
-        self._check_open()
-        statements = parse(sql)
-        if len(statements) != 1:
-            raise InterfaceError("prepare() takes exactly one statement")
-        statement = statements[0]
+        statement, _ = self._parse_one(sql, "prepare()")
         if isinstance(statement, ast.PrepareStmt):
             if name is not None:
                 statement = ast.PrepareStmt(
@@ -509,10 +489,8 @@ class Connection:
         prepared.executions += 1
         self._stats_incr("prepared_executions")
         inner = prepared.statement
-        if isinstance(inner, (ast.SelectStmt, ast.SetOpStmt)):
-            return self._execute_select_statement(
-                inner, sql, parse_ns, params=values
-            )
+        if isinstance(inner, _SELECTS):
+            return self._execute_select(inner, sql, parse_ns, params=values)
         if prepared.nparams:
             inner = substitute_params(inner, values)
         return self._execute_generic(inner, sql, parse_ns)
@@ -539,76 +517,22 @@ class Connection:
             return bound.value
         return bound.type.from_storage(bound.value)
 
-    def _begin_spans(self, sql: str, parse_ns: int, force: bool = False):
-        """Open a statement span handle, or None when tracing is off.
-
-        Statements share the session's trace id (one connection = one
-        trace) unless a wire context propagated from a client overrides
-        it inside the tracer.
-        """
-        tracer = getattr(self._database, "span_tracer", None)
-        if tracer is None:
-            return None
-        return tracer.statement(
-            session=self.session_id,
-            sql=sql,
-            parse_ns=parse_ns,
-            trace_id=self._session_trace_id,
-            parent_id=self._session_span_id,
-            force=force,
-        )
-
-    def _log_statement(
-        self, sql, status, error, result, started_wall, started_ns, phases,
-        cache: str = "",
-    ) -> None:
-        """Record one statement in the query log, histogram, and session."""
-        total_ns = time.perf_counter_ns() - started_ns
-        rows = result.nrows if result is not None else 0
-        self.session_queries += 1
-        self.session_rows += rows
-        self.last_sql = sql or None
-        database = self._database
-        log = getattr(database, "query_log", None)
-        if log is None:
-            return
-        entry = log.record(
-            session=self.session_id,
-            sql=sql,
-            status=status,
-            error=error,
-            rows=rows,
-            started=started_wall,
-            total_us=total_ns / 1000.0,
-            phases_us={name: ns / 1000.0 for name, ns in phases.items()},
-            cache=cache,
-        )
-        if entry.is_slow:
-            self._stats_incr("slow_queries")
-        database.metrics.observe("query_seconds", total_ns * 1e-9)
-
     def _stats(self):
-        return getattr(self._database, "_stats", None)
+        return self._database._stats
 
     def _stats_incr(self, name: str, amount: int = 1) -> None:
-        stats = self._stats()
-        if stats is not None:
-            stats.incr(name, amount)
+        self._database._stats.incr(name, amount)
 
-    def _dispatch(self, bound, txn, phases=None, copy_data=None,
-                  spans=None) -> Result | None:
-        if isinstance(bound, N.BoundSelect):
-            return Result(
-                self._run_select(bound, txn, phases=phases, spans=spans),
-                self._stats(),
-            )
+    def _dispatch(self, bound, stmt: "_Statement", selected=None,
+                  copy_data=None) -> Result | None:
+        """Run one bound non-SELECT; ``selected`` is its subselect's result."""
+        txn = stmt.txn
         if isinstance(bound, N.BoundCopyFrom):
-            return self._run_copy_from(bound, txn, phases, copy_data,
-                                       spans=spans)
+            return self._run_copy_from(bound, stmt, copy_data)
         if isinstance(bound, N.BoundCopyTo):
-            return self._run_copy_to(bound, txn, phases, spans=spans)
+            return self._run_copy_to(bound, txn, selected)
         if isinstance(bound, N.BoundInsert):
-            self._run_insert(bound, txn)
+            self._run_insert(bound, txn, selected)
             return None
         if isinstance(bound, N.BoundDelete):
             self._run_delete(bound, txn)
@@ -630,41 +554,7 @@ class Connection:
             return None
         raise InterfaceError(f"cannot execute {type(bound).__name__}")
 
-    def _run_select(self, bound: N.BoundSelect, txn, trace=None, phases=None,
-                    spans=None):
-        optimize_start = time.perf_counter_ns()
-        optimized = optimize(bound, self._nrows_estimator(txn))
-        compile_start = time.perf_counter_ns()
-        program = compile_select(optimized)
-        done = time.perf_counter_ns()
-        if phases is not None:
-            phases["optimize"] = (
-                phases.get("optimize", 0) + compile_start - optimize_start
-            )
-            phases["compile"] = phases.get("compile", 0) + done - compile_start
-        if spans is not None:
-            spans.record("optimize", "phase", optimize_start, compile_start)
-            spans.record("compile", "phase", compile_start, done)
-            if spans.rows_estimate is None:
-                spans.rows_estimate = int(
-                    estimate_rows(optimized.plan, self._nrows_estimator(txn))
-                )
-        ctx = ExecutionContext(
-            self._database, txn, self._database.config, trace=trace,
-            phases=phases, spans=spans,
-        )
-        result = Interpreter(ctx).run(program)
-        self._stats_incr("queries")
-        self._stats_incr("rows_returned", result.nrows)
-        return result
-
-    @staticmethod
-    def _nrows_estimator(txn):
-        """Cardinality source for the optimizer: the txn's pinned snapshot
-        (which also statement-caches virtual sys.* materializations)."""
-        return lambda name: txn.snapshot_version(txn.resolve_table(name)).nrows
-
-    # -- EXPLAIN [ANALYZE] ------------------------------------------------------------
+    # -- EXPLAIN [ANALYZE] and tracing ------------------------------------------------
 
     def _execute_explain(self, statement, sql: str = "",
                          parse_ns: int = 0) -> Result:
@@ -675,153 +565,82 @@ class Connection:
         per-span total and self time; the spans enter the tracer's ring
         buffer only when tracing is enabled.
         """
+        from repro.exec.fragments import render_fragments
+
         inner = statement.statement
-        spans = (
-            self._begin_spans(sql, parse_ns, force=True)
-            if statement.analyze else None
-        )
-        txn, autocommit = self._statement_txn()
-        try:
-            bind_start = time.perf_counter_ns()
-            bound = bind_statement(
-                inner, lambda name: txn.resolve_table(name).schema
-            )
-            bind_done = time.perf_counter_ns()
-            if not isinstance(bound, N.BoundSelect):
-                raise InterfaceError("EXPLAIN only supports SELECT statements")
-            if spans is not None:
-                spans.record("bind", "phase", bind_start, bind_done)
-            optimize_start = time.perf_counter_ns()
-            optimized = optimize(bound, self._nrows_estimator(txn))
-            compile_start = time.perf_counter_ns()
-            program = compile_select(optimized)
-            compile_done = time.perf_counter_ns()
+        with _Statement(self, sql, parse_ns,
+                        force_spans=statement.analyze) as stmt:
+            _require_select(inner, "EXPLAIN")
+            program, optimized = self._plan(stmt, inner)
             if statement.analyze:
-                if spans is not None:
-                    spans.record("optimize", "phase",
-                                 optimize_start, compile_start)
-                    spans.record("compile", "phase",
-                                 compile_start, compile_done)
-                    spans.rows_estimate = int(estimate_rows(
-                        optimized.plan, self._nrows_estimator(txn)
-                    ))
-                    ctx = ExecutionContext(
-                        self._database, txn, self._database.config,
-                        phases={}, spans=spans,
-                    )
-                    materialized = Interpreter(ctx).run(program)
-                    spans.finish("ok", rows=materialized.nrows)
-                    tracer = self._database.span_tracer
-                    dicts = [
-                        s.to_dict(tracer.epoch_of) for s in spans.spans
-                    ]
-                    lines = render_tree(dicts).split("\n")
-                    lines.append("")
-                    lines.append(
-                        f"total: {dicts[0]['duration_us']:.1f} us, "
-                        f"{len(program.instructions)} instructions, "
-                        f"{materialized.nrows} result rows"
-                    )
-                else:
-                    # no tracer on this database: flat instruction trace
-                    trace = QueryTrace()
-                    ctx = ExecutionContext(
-                        self._database, txn, self._database.config,
-                        trace=trace,
-                    )
-                    Interpreter(ctx).run(program)
-                    lines = trace.render().split("\n")
+                materialized = stmt.execute(program)
+                # close the tree before the envelope does: the rendering
+                # reports the statement span's duration
+                stmt.spans.finish("ok", rows=materialized.nrows)
+                dicts = stmt.span_dicts()
+                lines = render_tree(dicts).split("\n")
+                lines.append("")
+                lines.append(
+                    f"total: {dicts[0]['duration_us']:.1f} us, "
+                    f"{len(program.instructions)} instructions, "
+                    f"{materialized.nrows} result rows"
+                )
                 self._stats_incr("traced_queries")
             else:
-                from repro.exec.fragments import render_fragments
-
                 lines = render_plan(optimized.plan).split("\n")
                 lines.append("")
                 lines.extend(program.render().split("\n"))
                 lines.append("")
                 lines.extend(render_fragments(program))
-            if autocommit:
-                self._database.txn_manager.commit(txn)
-        except Exception as exc:
-            if spans is not None:
-                spans.finish("error", error=str(exc))
-            self._database.txn_manager.rollback(txn)
-            if not autocommit:
-                self._txn = None
-            raise
-        column = Column.from_values(T.STRING, lines)
-        return Result(
-            MaterializedResult(["explain"], [column]), self._stats()
-        )
+            column = Column.from_values(T.STRING, lines)
+            stmt.result = Result(
+                MaterializedResult(["explain"], [column]), self._stats()
+            )
+        return stmt.result
 
     def explain(self, sql: str) -> str:
         """The compiled MAL program listing for a SELECT (debugging aid)."""
-        self._check_open()
-        statements = parse(sql)
-        if len(statements) != 1:
-            raise InterfaceError("EXPLAIN takes exactly one statement")
-        txn, autocommit = self._statement_txn()
-        try:
-            bound = bind_statement(
-                statements[0], lambda name: txn.resolve_table(name).schema
-            )
-            if not isinstance(bound, N.BoundSelect):
-                raise InterfaceError("EXPLAIN only supports SELECT")
-            optimized = optimize(bound, self._nrows_estimator(txn))
-            rendered = compile_select(optimized).render()
-            if autocommit:
-                self._database.txn_manager.rollback(txn)
-            return rendered
-        except Exception:
-            self._database.txn_manager.rollback(txn)
-            if not autocommit:
-                self._txn = None
-            raise
+        statement, parse_ns = self._parse_one(sql, "EXPLAIN")
+        with _Statement(self, sql, parse_ns) as stmt:
+            _require_select(statement, "EXPLAIN")
+            program, _ = self._plan(stmt, statement)
+        return program.render()
 
     def trace_query(self, sql: str):
-        """Execute one SELECT with tracing on; returns ``(Result, QueryTrace)``.
+        """Execute one SELECT with deep span tracing forced on.
 
-        The programmatic face of ``EXPLAIN ANALYZE``: same instrumentation,
-        but the caller gets both the materialized result and the structured
-        :class:`~repro.obs.QueryTrace` instead of a rendered text table.
+        Returns ``(Result, spans)``: the materialized result and the
+        statement's span dicts (statement root first, see
+        :meth:`~repro.obs.spans.Span.to_dict`), the shape
+        :meth:`RemoteConnection.trace_query
+        <repro.server.client.RemoteConnection.trace_query>` returns.  The
+        programmatic face of ``EXPLAIN ANALYZE``; render the spans with
+        :func:`~repro.obs.spans.render_tree`.  Like EXPLAIN ANALYZE, the
+        spans enter the tracer's ring buffer only when tracing is enabled.
         """
-        self._check_open()
-        statements = parse(sql)
-        if len(statements) != 1:
-            raise InterfaceError("trace_query takes exactly one statement")
-        txn, autocommit = self._statement_txn()
-        try:
-            bound = bind_statement(
-                statements[0], lambda name: txn.resolve_table(name).schema
-            )
-            if not isinstance(bound, N.BoundSelect):
-                raise InterfaceError("trace_query only supports SELECT")
-            trace = QueryTrace(sql=sql)
-            materialized = self._run_select(bound, txn, trace=trace)
+        statement, parse_ns = self._parse_one(sql, "trace_query")
+        with _Statement(self, sql, parse_ns, force_spans=True) as stmt:
+            _require_select(statement, "trace_query")
+            program, _ = self._plan(stmt, statement)
+            materialized = stmt.execute(program)
+            self._count_select(materialized)
             self._stats_incr("traced_queries")
-            if autocommit:
-                self._database.txn_manager.commit(txn)
-            return Result(materialized, self._stats()), trace
-        except Exception:
-            if autocommit:
-                self._database.txn_manager.rollback(txn)
-            else:
-                self._database.txn_manager.rollback(txn)
-                self._txn = None
-            raise
+            stmt.result = Result(materialized, self._stats())
+        return stmt.result, stmt.span_dicts()
 
     # -- DML ----------------------------------------------------------------------------------
 
-    def _run_insert(self, bound: N.BoundInsert, txn) -> int:
+    def _run_insert(self, bound: N.BoundInsert, txn, selected=None) -> int:
+        """INSERT VALUES, or INSERT ... SELECT with the subselect's result
+        ``selected``."""
         table = txn.resolve_table(bound.table_name)
         schema = table.schema
-        if bound.select is not None:
-            materialized = self._run_select(bound.select, txn)
+        if selected is not None:
             source = {
-                idx: materialized.columns[i]
+                idx: selected.columns[i]
                 for i, idx in enumerate(bound.column_indexes)
             }
-            nrows = materialized.nrows
+            nrows = selected.nrows
         else:
             source = {}
             nrows = len(bound.rows)
@@ -904,8 +723,8 @@ class Connection:
 
     # -- COPY bulk load / export -------------------------------------------------------------------
 
-    def _run_copy_from(self, bound, txn, phases=None, copy_data=None,
-                       spans=None) -> Result:
+    def _run_copy_from(self, bound, stmt: "_Statement",
+                       copy_data=None) -> Result:
         """Execute COPY INTO ... FROM (or CREATE TABLE ... FROM).
 
         The load goes through :func:`repro.copy.load_into`, so it lands on
@@ -915,6 +734,7 @@ class Connection:
         from repro.copy import infer_schema, load_into
 
         database = self._database
+        txn, spans = stmt.txn, stmt.spans
         options = bound.options
         if isinstance(copy_data, str):
             copy_data = copy_data.encode("utf-8")
@@ -937,30 +757,22 @@ class Connection:
             else:
                 table = txn.resolve_table(bound.table_name)
                 column_indexes = bound.column_indexes
-            exec_span = (
-                spans.begin("execute", "phase") if spans is not None else None
+            load = load_into(
+                database,
+                txn,
+                table,
+                source,
+                options,
+                column_indexes=column_indexes,
+                chunk_bytes=database.config.copy_chunk_bytes,
+                spans=spans if spans is not None and spans.deep else None,
             )
-            try:
-                load = load_into(
-                    database,
-                    txn,
-                    table,
-                    source,
-                    options,
-                    column_indexes=column_indexes,
-                    chunk_bytes=database.config.copy_chunk_bytes,
-                    spans=spans if spans is not None and spans.deep else None,
+            if spans is not None:
+                # the open execute phase span
+                spans.current().attrs.update(
+                    rows_out=load.rows_loaded, bytes=load.bytes_read
                 )
-            except BaseException:
-                if exec_span is not None:
-                    spans.end(exec_span, status="error")
-                raise
-            if exec_span is not None:
-                spans.end(exec_span, rows_out=load.rows_loaded,
-                          bytes=load.bytes_read)
             total_us = (time.perf_counter_ns() - started) / 1000.0
-            if phases is not None:
-                phases["execute"] = time.perf_counter_ns() - started
             database.metrics.incr("copy_rows_loaded", load.rows_loaded)
             database.metrics.incr("copy_rows_rejected", len(load.rejects))
             database.metrics.incr("copy_bytes_read", load.bytes_read)
@@ -995,18 +807,17 @@ class Connection:
             )
             raise
 
-    def _run_copy_to(self, bound, txn, phases=None, spans=None) -> Result:
-        """Execute COPY ... TO: export a table or query result as CSV."""
+    def _run_copy_to(self, bound, txn, selected=None) -> Result:
+        """Execute COPY ... TO: export a table, or the result ``selected``
+        of a query, as CSV."""
         from repro.copy import export_csv
 
         database = self._database
         started = time.perf_counter_ns()
         try:
-            if bound.select is not None:
-                materialized = self._run_select(bound.select, txn,
-                                                phases=phases, spans=spans)
-                names = materialized.names
-                columns = materialized.columns
+            if selected is not None:
+                names = selected.names
+                columns = selected.columns
             else:
                 table = txn.resolve_table(bound.table_name)
                 view = txn.read_version(table)
@@ -1016,8 +827,6 @@ class Connection:
                 names, columns, bound.options, bound.path
             )
             total_us = (time.perf_counter_ns() - started) / 1000.0
-            if phases is not None and "execute" not in phases:
-                phases["execute"] = time.perf_counter_ns() - started
             database.metrics.incr("copy_bytes_written", nbytes)
             self._stats_incr("rows_exported", nrows)
             database.record_copy(
@@ -1108,3 +917,156 @@ def _convert_column(column: Column, target, nrows: int) -> Column:
 
     vec = _cast_vec(vec_from_column(column), target, nrows)
     return vec_to_column(vec, nrows)
+
+
+def _require_select(statement, what: str) -> None:
+    if not isinstance(statement, _SELECTS):
+        raise InterfaceError(f"{what} only supports SELECT statements")
+
+
+class _Statement:
+    """The envelope of one statement: transaction, phase clock and spans.
+
+    Every statement path of :class:`Connection` runs its body inside
+    ``with _Statement(...) as stmt``.  A clean exit commits an autocommit
+    transaction, logs the statement (``sys.queries``) and closes its span
+    tree; an error rolls back — inside an explicit transaction it aborts
+    that transaction — counts and logs the error, and closes the span tree
+    as failed.
+
+    Phases are stamped back to back: each one starts where the previous
+    one ended, the first where parsing ended, so together they cover the
+    statement up to its commit.  The plan phases are laps of this clock
+    (:meth:`lap`); the execute phase is a span held open while the program
+    runs, so instruction and morsel spans nest under it.
+    """
+
+    __slots__ = ("conn", "sql", "spans", "phases", "started_wall",
+                 "started", "mark", "txn", "autocommit", "cache", "result")
+
+    def __init__(self, conn: Connection, sql: str, parse_ns: int = 0,
+                 force_spans: bool = False):
+        self.conn = conn
+        self.sql = sql
+        self.phases = {"parse": parse_ns} if parse_ns else {}
+        self.started_wall = time.time()
+        now = time.perf_counter_ns()
+        # statements share the session's trace id (one connection = one
+        # trace) unless a wire context from a client overrides it
+        self.spans = conn._database.span_tracer.statement(
+            session=conn.session_id,
+            sql=sql,
+            parse_ns=parse_ns,
+            trace_id=conn._session_trace_id,
+            parent_id=conn._session_span_id,
+            force=force_spans,
+        )
+        # back-dated so the total covers the parse phase charged to us; a
+        # span tree's own start keeps its parse span and first lap adjacent
+        self.started = (
+            now - parse_ns if self.spans is None else self.spans.root.start_ns
+        )
+        self.mark = self.started + parse_ns
+        self.txn, self.autocommit = conn._statement_txn()
+        #: "" (cold), "plan" (compiled plan reused) or "result" (served)
+        self.cache = ""
+        self.result: Result | None = None
+
+    def __enter__(self) -> "_Statement":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            try:
+                if self.autocommit:
+                    self.conn._database.txn_manager.commit(self.txn)
+            except Exception as error:
+                self._fail(error)
+                raise
+            rows = self.result.nrows if self.result is not None else 0
+            self._log("ok", None, rows)
+            if self.spans is not None:
+                self.spans.finish("ok", rows=rows, cache=self.cache)
+        elif issubclass(exc_type, Exception):
+            self._fail(exc)
+        return False
+
+    # -- phases ---------------------------------------------------------------
+
+    def lap(self, name: str, span=None, **attrs) -> None:
+        """End phase ``name`` now; it began where the previous one ended.
+
+        ``span`` is the phase's span from :meth:`open_phase`, if any;
+        otherwise a traced statement records the phase span here.
+        """
+        spans = self.spans
+        if span is not None:
+            spans.end(span, **attrs)
+            now = span.end_ns
+        else:
+            now = time.perf_counter_ns()
+            if spans is not None:
+                spans.record(name, "phase", self.mark, now, **attrs)
+        self.phases[name] = now - self.mark
+        self.mark = now
+
+    def open_phase(self, name: str):
+        """Open a phase span starting where the previous phase ended (None
+        when untraced); nested spans record under it until :meth:`lap`."""
+        if self.spans is None:
+            return None
+        return self.spans.begin(name, "phase", start_ns=self.mark)
+
+    def run(self, program, params=None) -> MaterializedResult:
+        """Run a compiled program in this statement's transaction."""
+        database = self.conn._database
+        ctx = ExecutionContext(database, self.txn, database.config,
+                               params=params, spans=self.spans)
+        return Interpreter(ctx).run(program)
+
+    def execute(self, program, params=None) -> MaterializedResult:
+        """The execute phase of a SELECT: :meth:`run` under its span."""
+        span = self.open_phase("execute")
+        materialized = self.run(program, params)
+        self.lap("execute", span, rows_out=materialized.nrows)
+        return materialized
+
+    def span_dicts(self) -> list:
+        """This statement's spans as dicts, statement root first."""
+        epoch_of = self.spans.tracer.epoch_of
+        return [span.to_dict(epoch_of) for span in self.spans.spans]
+
+    # -- completion -----------------------------------------------------------
+
+    def _fail(self, error: Exception) -> None:
+        conn = self.conn
+        conn._database.txn_manager.rollback(self.txn)
+        if not self.autocommit:
+            conn._txn = None
+        conn._stats_incr("query_errors")
+        self._log("error", str(error), 0)
+        if self.spans is not None:
+            self.spans.finish("error", error=str(error), cache=self.cache)
+
+    def _log(self, status: str, error: str | None, rows: int) -> None:
+        """Record the statement in the query log, histogram, and session."""
+        conn = self.conn
+        database = conn._database
+        total_ns = time.perf_counter_ns() - self.started
+        conn.session_queries += 1
+        conn.session_rows += rows
+        conn.last_sql = self.sql or None
+        entry = database.query_log.record(
+            session=conn.session_id,
+            sql=self.sql,
+            status=status,
+            error=error,
+            rows=rows,
+            started=self.started_wall,
+            total_us=total_ns / 1000.0,
+            phases_us={name: ns / 1000.0 for name, ns in self.phases.items()},
+            cache=self.cache,
+        )
+        if entry.is_slow:
+            conn._stats_incr("slow_queries")
+        database.metrics.observe("query_seconds", total_ns * 1e-9)

@@ -133,16 +133,11 @@ class MaterializedResult:
 class ExecutionContext:
     """Shared state of one query execution (txn, config, subquery stack)."""
 
-    def __init__(self, database, txn, config: ExecutionConfig, trace=None,
-                 phases=None, params=None, spans=None):
+    def __init__(self, database, txn, config: ExecutionConfig, params=None,
+                 spans=None):
         self.database = database
         self.txn = txn
         self.config = config
-        #: optional repro.obs.QueryTrace; None keeps the hot loop untraced
-        self.trace = trace
-        #: optional dict of plan-phase timings (ns) for the query log; the
-        #: top-level Interpreter.run adds its "execute" share on exit
-        self.phases = phases
         #: optional repro.obs.spans.StatementSpans; instruction/chunk spans
         #: are recorded only when the handle sampled deep
         self.spans = spans
@@ -298,37 +293,10 @@ class Interpreter:
     # -- driver ---------------------------------------------------------------------
 
     def run(self, program: MALProgram) -> MaterializedResult:
-        phases = self.ctx.phases
-        if phases is None:
-            return self._run_program(program)
-        # pop the dict for the duration of the run so nested subplan
-        # interpreters (which share this ctx) fold into one "execute"
-        # figure — the same top-level guard keeps the execute-phase span
-        # singular per statement
-        self.ctx.phases = None
-        spans = self.ctx.spans
-        exec_span = spans.begin("execute", "phase") if spans is not None else None
-        started = time.perf_counter_ns()
-        try:
-            result = self._run_program(program)
-            if exec_span is not None:
-                spans.end(exec_span, rows_out=result.nrows)
-            return result
-        except BaseException:
-            if exec_span is not None:
-                spans.end(exec_span, status="error")
-            raise
-        finally:
-            phases["execute"] = (
-                phases.get("execute", 0) + time.perf_counter_ns() - started
-            )
-            self.ctx.phases = phases
-
-    def _run_program(self, program: MALProgram) -> MaterializedResult:
         spans = self.ctx.spans
         skip = self._maybe_morsel(program)
-        if self.ctx.trace is not None or (spans is not None and spans.deep):
-            return self._run_instrumented(program, self.ctx.trace, spans, skip)
+        if spans is not None and spans.deep:
+            return self._run_instrumented(program, spans, skip)
         for instruction in program.instructions:
             if skip is not None and instruction.var in skip:
                 continue
@@ -346,28 +314,20 @@ class Interpreter:
 
         Returns the set of vars the executor already produced (the loops
         skip those instructions), or None to run everything sequentially.
-        A flat instruction trace (EXPLAIN ANALYZE) disables delegation so
-        the per-instruction profile reflects what actually ran.
         """
         config = self.ctx.config
-        if (
-            not config.parallel
-            or config.executor != "morsel"
-            or self.ctx.trace is not None
-        ):
+        if not config.parallel or config.executor != "morsel":
             return None
         from repro.exec.executor import try_morsel_execute
 
         return try_morsel_execute(self, program)
 
-    def _run_instrumented(self, program: MALProgram, trace,
-                          spans, skip=None) -> MaterializedResult:
-        """Same execution as :meth:`run`, recording one profile and/or one
-        instruction span per executed instruction.  A separate loop keeps
-        the untraced hot path free of per-instruction bookkeeping."""
-        deep = spans is not None and spans.deep
-        started = time.perf_counter_ns()
-        for index, instruction in enumerate(program.instructions):
+    def _run_instrumented(self, program: MALProgram, spans,
+                          skip=None) -> MaterializedResult:
+        """Same execution as :meth:`run`, recording one instruction span
+        per executed instruction.  A separate loop keeps the untraced hot
+        path free of per-instruction bookkeeping."""
+        for instruction in program.instructions:
             if skip is not None and instruction.var in skip:
                 continue
             self.ctx.check_deadline()
@@ -378,37 +338,24 @@ class Interpreter:
             for var in instruction_inputs(instruction):
                 rows_in = max(rows_in, cardinality(self._values.get(var)))
             self._tactic = None
-            span = (
-                spans.begin(instruction.op, "instruction") if deep else None
-            )
-            t0 = time.perf_counter_ns()
+            span = spans.begin(instruction.op, "instruction")
             value = handler(instruction)
-            elapsed = time.perf_counter_ns() - t0
             self._values[instruction.var] = value
             if instruction.op == "result" and self._result is not None:
                 rows_out = self._result.nrows
             else:
                 rows_out = cardinality(value)
-            if span is not None:
-                spans.end(
-                    span,
-                    rows_in=rows_in,
-                    rows_out=rows_out,
-                    bytes=value_nbytes(value),
-                    tactic=self._tactic,
-                    detail=instruction.render(),
-                )
-                spans.add_rows(rows_out)
-            if trace is not None:
-                trace.record(
-                    index, instruction, rows_in, rows_out, self._tactic,
-                    elapsed,
-                )
+            spans.end(
+                span,
+                rows_in=rows_in,
+                rows_out=rows_out,
+                bytes=value_nbytes(value),
+                tactic=self._tactic,
+                detail=instruction.render(),
+            )
+            spans.add_rows(rows_out)
         if self._result is None:
             raise DatabaseError("program produced no result")
-        if trace is not None:
-            trace.total_ns += time.perf_counter_ns() - started
-            trace.result_rows = self._result.nrows
         return self._result
 
     def _get(self, var: int):

@@ -1,42 +1,40 @@
-"""Engine observability: traces, counters, metrics, and the sys schema.
+"""Engine observability: spans, counters, metrics, and the sys schema.
 
 Modeled on MonetDB's ``TRACE`` facility (and the stethoscope tooling built
-on it): every executed MAL instruction can be profiled — operator, input
-and output cardinalities, the tactical choice the interpreter made, and
-wall time — and the engine keeps lightweight global counters (queries
-served, rows appended/exported, bytes on the wire, transaction aborts)
-that :meth:`repro.core.database.Database.stats` exposes.
+on it), with one instrumentation model: hierarchical spans
+(:mod:`repro.obs.spans`).  A statement's span tree nests its phases
+(parse/bind/optimize/compile/execute) and, when sampled deep, one span per
+executed MAL instruction — operator, input and output cardinalities, bytes
+touched, the tactical choice the interpreter made, and wall time — plus
+morsel and COPY chunk spans.  ``EXPLAIN ANALYZE`` and
+``Connection.trace_query`` force a deep tree for one statement.  The
+engine also keeps lightweight global counters (queries served, rows
+appended/exported, bytes on the wire, transaction aborts) that
+:meth:`repro.core.database.Database.stats` exposes.
 
 On top of the counters sit a :class:`MetricsRegistry` (gauges and latency
 histograms, rendered as Prometheus text by ``Database.metrics_text()``), a
 ring-buffer :class:`QueryLog`, and the ``sys.*`` virtual tables
 (:mod:`repro.obs.systables`) that expose all of it through plain SQL.
 
-Tracing is strictly opt-in: the interpreter's hot loop checks a single
-``trace is None`` guard and does no per-row work when tracing is off.
+Tracing is strictly opt-in: an untraced statement carries no span handle,
+and the interpreter's hot loop checks that once per program, doing no
+per-instruction work.
 """
 
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram, MetricsRegistry
 from repro.obs.querylog import QueryLog, QueryLogEntry
 from repro.obs.spans import Span, SpanTracer, StatementSpans, render_tree
 from repro.obs.stats import EngineStats
-from repro.obs.trace import (
-    InstructionProfile,
-    QueryTrace,
-    cardinality,
-    instruction_inputs,
-    value_nbytes,
-)
+from repro.obs.trace import cardinality, instruction_inputs, value_nbytes
 
 __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
     "EngineStats",
     "Histogram",
-    "InstructionProfile",
     "MetricsRegistry",
     "QueryLog",
     "QueryLogEntry",
-    "QueryTrace",
     "Span",
     "SpanTracer",
     "StatementSpans",

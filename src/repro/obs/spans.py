@@ -1,9 +1,8 @@
 """Hierarchical span tracing: session → statement → phase → instruction → chunk.
 
-The flat :class:`~repro.obs.trace.QueryTrace` answers "which instruction was
-slow"; it cannot answer where a statement's time went *between* layers —
-parse vs. optimize vs. execute vs. serialize, server vs. client, worker
-chunk vs. coordinator.  This module adds that hierarchy, modeled on
+Spans answer both "which instruction was slow" and where a statement's
+time went *between* layers — parse vs. optimize vs. execute vs. serialize,
+server vs. client, worker chunk vs. coordinator.  The model follows
 distributed-tracing spans (and MonetDB's TRACE events, which carry the same
 per-operator accounting):
 
@@ -194,11 +193,15 @@ class StatementSpans:
 
     # -- span construction (statement thread) ---------------------------------
 
-    def begin(self, name: str, kind: str = "phase", **attrs) -> Span:
-        """Open a child span under the innermost open span."""
+    def begin(self, name: str, kind: str = "phase",
+              start_ns: int | None = None, **attrs) -> Span:
+        """Open a child span under the innermost open span; ``start_ns``
+        back-dates it (a phase starting where the previous one ended)."""
         span = Span(
             self.trace_id, new_span_id(), self._stack[-1].span_id, name,
-            kind, self.session, time.perf_counter_ns(), attrs=attrs,
+            kind, self.session,
+            time.perf_counter_ns() if start_ns is None else start_ns,
+            attrs=attrs,
         )
         with self._lock:
             self.spans.append(span)

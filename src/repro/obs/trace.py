@@ -1,113 +1,21 @@
-"""Per-query execution traces (MonetDB's TRACE, reproduced).
+"""Per-instruction accounting for instruction spans (MonetDB's TRACE).
 
-A :class:`QueryTrace` is attached to an
-:class:`~repro.mal.interpreter.ExecutionContext`; the interpreter then
-records one :class:`InstructionProfile` per executed MAL instruction.
-``EXPLAIN ANALYZE`` renders the trace as an annotated program listing.
+The interpreter's instrumented loop annotates each instruction span with
+the input and output cardinality (:func:`instruction_inputs`,
+:func:`cardinality`) and the bytes touched (:func:`value_nbytes`) of the
+instruction it ran; the morsel executor's fragment analysis reuses
+:func:`instruction_inputs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "InstructionProfile",
-    "QueryTrace",
     "cardinality",
     "instruction_inputs",
     "value_nbytes",
 ]
-
-
-@dataclass
-class InstructionProfile:
-    """Profile of one executed instruction."""
-
-    index: int
-    var: int
-    op: str
-    detail: str  # the rendered instruction text
-    rows_in: int
-    rows_out: int
-    tactic: str | None  # e.g. "hash_join", "order_index", "chunked:4"
-    wall_ns: int
-
-
-@dataclass
-class QueryTrace:
-    """All instruction profiles of one query execution."""
-
-    sql: str | None = None
-    records: list = field(default_factory=list)
-    total_ns: int = 0
-    result_rows: int = 0
-
-    def record(
-        self,
-        index: int,
-        instruction,
-        rows_in: int,
-        rows_out: int,
-        tactic: str | None,
-        wall_ns: int,
-    ) -> None:
-        self.records.append(
-            InstructionProfile(
-                index=index,
-                var=instruction.var,
-                op=instruction.op,
-                detail=instruction.render(),
-                rows_in=rows_in,
-                rows_out=rows_out,
-                tactic=tactic,
-                wall_ns=wall_ns,
-            )
-        )
-
-    # -- reporting ---------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Aggregate numbers for dashboards and bench output."""
-        by_op: dict = {}
-        for rec in self.records:
-            ns, count = by_op.get(rec.op, (0, 0))
-            by_op[rec.op] = (ns + rec.wall_ns, count + 1)
-        return {
-            "instructions": len(self.records),
-            "total_us": self.total_ns / 1_000.0,
-            "result_rows": self.result_rows,
-            "by_op": {
-                op: {"us": ns / 1_000.0, "count": count}
-                for op, (ns, count) in sorted(
-                    by_op.items(), key=lambda kv: -kv[1][0]
-                )
-            },
-        }
-
-    def top_instructions(self, limit: int = 3) -> list:
-        """The most expensive instructions, by wall time."""
-        return sorted(self.records, key=lambda r: -r.wall_ns)[:limit]
-
-    def render(self) -> str:
-        """Annotated listing: per-instruction time, cardinalities, tactic."""
-        header = (
-            f"{'#':>3}  {'time_us':>10}  {'rows_in':>9}  {'rows_out':>9}  "
-            f"{'tactic':<12}  instruction"
-        )
-        lines = [header, "-" * len(header)]
-        for rec in self.records:
-            lines.append(
-                f"{rec.index:>3}  {rec.wall_ns / 1_000.0:>10.1f}  "
-                f"{rec.rows_in:>9}  {rec.rows_out:>9}  "
-                f"{(rec.tactic or '-'):<12}  {rec.detail}"
-            )
-        lines.append(
-            f"total: {self.total_ns / 1_000.0:.1f} us over "
-            f"{len(self.records)} instructions, {self.result_rows} result rows"
-        )
-        return "\n".join(lines)
 
 
 # -- cardinality extraction ---------------------------------------------------------

@@ -1,16 +1,16 @@
 """Tests for the observability layer: tracing, EXPLAIN [ANALYZE], stats.
 
-The tracer reproduces MonetDB's TRACE: per-instruction wall time,
+Instruction spans reproduce MonetDB's TRACE: per-instruction wall time,
 input/output cardinalities and the tactical decision the interpreter made
 (hash vs. merge join, index usage, chunked execution).  These tests pin
-the contract: no tracing work when tracing is off, and trace numbers that
-agree with the actual result when it is on.
+the contract: nothing retained when tracing is off, and span numbers that
+agree with the actual result when a trace is taken.
 """
 
 import pytest
 
 from repro.errors import InterfaceError
-from repro.obs import EngineStats, QueryTrace
+from repro.obs import EngineStats, render_tree
 from repro.workloads.tpch import load, query
 
 
@@ -94,67 +94,101 @@ class TestDatabaseStats:
         assert db.stats()["traced_queries"] == 0
 
 
-class TestQueryTrace:
-    def test_trace_off_records_nothing(self, conn):
-        """The default path must not produce any trace records at all."""
-        from repro.mal.interpreter import ExecutionContext
+def instruction_spans(spans):
+    return [s for s in spans if s["kind"] == "instruction"]
 
+
+class TestTraceQuery:
+    def test_trace_off_records_nothing(self, conn, db):
+        """Without trace_spans, a forced trace is returned but not retained."""
         conn.execute("CREATE TABLE q (v INTEGER)")
         conn.execute("INSERT INTO q VALUES (1), (2)")
-        ctx = ExecutionContext(
-            conn._database, conn._database.txn_manager.begin(),
-            conn._database.config,
-        )
-        assert ctx.trace is None
+        conn.query("SELECT v FROM q")
+        _, spans = conn.trace_query("SELECT v FROM q")
+        conn.query("EXPLAIN ANALYZE SELECT v FROM q")
+        assert instruction_spans(spans)
+        assert db.span_tracer.events() == []
+        assert db.span_tracer.active_statements() == []
 
     def test_trace_query_returns_result_and_trace(self, conn):
         conn.execute("CREATE TABLE t (v INTEGER)")
         conn.execute("INSERT INTO t VALUES (1), (2), (3), (4)")
-        result, trace = conn.trace_query("SELECT v FROM t WHERE v > 1")
+        result, spans = conn.trace_query("SELECT v FROM t WHERE v > 1")
         assert result.nrows == 3
-        assert isinstance(trace, QueryTrace)
-        assert trace.result_rows == 3
-        assert len(trace.records) > 0
-        assert trace.total_ns > 0
-        assert all(rec.wall_ns >= 0 for rec in trace.records)
+        root = spans[0]
+        assert root["kind"] == "statement"
+        assert root["attrs"]["rows"] == 3
+        assert root["duration_us"] > 0
+        phases = {s["name"] for s in spans if s["kind"] == "phase"}
+        assert {"parse", "bind", "optimize", "compile", "execute"} <= phases
+        instructions = instruction_spans(spans)
+        assert instructions
+        assert all(s["duration_us"] >= 0 for s in instructions)
         # the result instruction's output cardinality is the result size
-        assert trace.records[-1].op == "result"
-        assert trace.records[-1].rows_out == 3
+        assert instructions[-1]["name"] == "result"
+        assert instructions[-1]["attrs"]["rows_out"] == 3
 
     def test_trace_records_tactics(self, conn):
         conn.execute("CREATE TABLE l (k INTEGER, v INTEGER)")
         conn.execute("CREATE TABLE r (k INTEGER, w INTEGER)")
         conn.execute("INSERT INTO l VALUES (1, 10), (2, 20), (3, 30)")
         conn.execute("INSERT INTO r VALUES (2, 200), (3, 300), (4, 400)")
-        _, trace = conn.trace_query(
+        _, spans = conn.trace_query(
             "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k"
         )
-        joins = [rec for rec in trace.records if rec.op == "join"]
-        assert joins and joins[0].tactic in (
+        joins = [s for s in instruction_spans(spans) if s["name"] == "join"]
+        assert joins and joins[0]["attrs"]["tactic"] in (
             "hash_join", "merge_join", "sort_merge"
         )
-        _, trace = conn.trace_query("SELECT k, count(*) FROM l GROUP BY k")
-        groups = [rec for rec in trace.records if rec.op == "groupby"]
-        assert groups and groups[0].tactic in ("hash_group", "hash_index")
+        _, spans = conn.trace_query("SELECT k, count(*) FROM l GROUP BY k")
+        groups = [
+            s for s in instruction_spans(spans) if s["name"] == "groupby"
+        ]
+        assert groups and groups[0]["attrs"]["tactic"] in (
+            "hash_group", "hash_index"
+        )
 
     def test_summary_and_render(self, conn):
         conn.execute("CREATE TABLE s (v INTEGER)")
         conn.execute("INSERT INTO s VALUES (5), (6)")
-        _, trace = conn.trace_query("SELECT sum(v) FROM s")
-        summary = trace.summary()
-        assert summary["instructions"] == len(trace.records)
-        assert summary["result_rows"] == 1
-        assert "agg" in summary["by_op"]
-        text = trace.render()
-        assert "rows_out" in text
-        assert "total:" in text
-        assert len(trace.top_instructions(2)) <= 2
+        _, spans = conn.trace_query("SELECT sum(v) FROM s")
+        assert spans[0]["attrs"]["rows"] == 1
+        assert "agg" in {s["name"] for s in instruction_spans(spans)}
+        text = render_tree(spans)
+        assert text.splitlines()[0].startswith("statement")
+        assert "rows=" in text and "self_us=" in text
 
     def test_traced_queries_counter(self, conn, db):
         conn.execute("CREATE TABLE tc (v INTEGER)")
         conn.trace_query("SELECT v FROM tc")
         conn.query("EXPLAIN ANALYZE SELECT v FROM tc")
         assert db.stats()["traced_queries"] == 2
+
+    def test_parallel_trace_matches_sequential(self):
+        from repro.core.database import Database
+
+        sql = "SELECT v % 7 AS k, sum(v), count(*) FROM p GROUP BY k ORDER BY k"
+        rows = {}
+        for parallel in (False, True):
+            database = Database(
+                None, parallel=parallel, max_workers=2,
+                min_parallel_rows=64, morsel_rows=1000,
+            )
+            try:
+                conn = database.connect()
+                conn.execute("CREATE TABLE p (v INTEGER)")
+                conn.execute(
+                    "INSERT INTO p VALUES "
+                    + ", ".join(f"({i})" for i in range(5000))
+                )
+                result, spans = conn.trace_query(sql)
+                rows[parallel] = result.fetchall()
+                assert rows[parallel] == conn.query(sql).fetchall()
+                if parallel:  # the morsel executor ran under the trace
+                    assert any(s["kind"] == "morsel" for s in spans)
+            finally:
+                database.shutdown()
+        assert rows[True] == rows[False]
 
 
 class TestExplain:
@@ -186,9 +220,22 @@ class TestExplain:
         conn.execute("CREATE TABLE ok (v INTEGER)")
         assert conn.query("SELECT count(*) FROM ok").scalar() == 0
 
+    def test_explain_forms_share_one_listing(self, conn, db):
+        """explain(), EXPLAIN and a cold execution compile the same MAL."""
+        conn.execute("CREATE TABLE m (a INTEGER, b INTEGER)")
+        conn.execute("INSERT INTO m VALUES (1, 2), (3, 4), (5, 6)")
+        sql = "SELECT a, sum(b) FROM m WHERE a > 1 GROUP BY a ORDER BY a"
+        listing = conn.explain(sql)
+        text = "\n".join(v for (v,) in conn.query("EXPLAIN " + sql).fetchall())
+        assert listing in text
+        assert len(db.plan_cache) == 0  # neither form touched the cache
+        conn.query(sql)
+        (entry,) = db.plan_cache._entries.values()
+        assert entry.program.render() == listing
+
 
 class TestTraceCardinalities:
-    """EXPLAIN ANALYZE numbers must agree with actual result sizes (TPC-H)."""
+    """trace_query numbers must agree with actual result sizes (TPC-H)."""
 
     @pytest.mark.parametrize("number", [1, 3, 6])
     def test_tpch_trace_consistent(self, db, tpch_tiny, number):
@@ -196,16 +243,23 @@ class TestTraceCardinalities:
         load(conn, tpch_tiny)
         sql = query(number)
         expected = conn.query(sql)
-        result, trace = conn.trace_query(sql)
+        result, spans = conn.trace_query(sql)
         assert result.nrows == expected.nrows
-        assert trace.result_rows == expected.nrows
-        final = trace.records[-1]
-        assert final.op == "result"
-        assert final.rows_out == expected.nrows
+        assert spans[0]["attrs"]["rows"] == expected.nrows
+        instructions = instruction_spans(spans)
+        final = instructions[-1]
+        assert final["name"] == "result"
+        assert final["attrs"]["rows_out"] == expected.nrows
         # every executed instruction was profiled with sane numbers
-        assert all(rec.rows_in >= 0 and rec.rows_out >= 0
-                   for rec in trace.records)
-        assert trace.total_ns >= sum(r.wall_ns for r in trace.records) * 0.5
+        assert all(s["attrs"]["rows_in"] >= 0 and s["attrs"]["rows_out"] >= 0
+                   for s in instructions)
+        execute = next(s for s in spans if s["name"] == "execute")
+        top_level = [
+            s for s in instructions if s["parent_id"] == execute["span_id"]
+        ]
+        assert execute["duration_us"] >= sum(
+            s["duration_us"] for s in top_level
+        ) * 0.5
         conn.close()
 
 

@@ -112,6 +112,29 @@ class TestSpanHierarchy:
         assert phase_total >= 0.9 * root.duration_us
         assert phase_total <= 1.05 * root.duration_us
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT w, sum(v) FROM pc GROUP BY w",
+        "EXPLAIN ANALYZE SELECT w FROM pc",
+        "INSERT INTO pc SELECT v, w FROM pc WHERE v > 1",
+    ])
+    def test_phase_spans_are_contiguous(self, traced_db, traced_conn, sql):
+        """Each phase starts exactly where the previous one ended, the
+        first at the statement start: no work falls between phases."""
+        traced_conn.execute("CREATE TABLE pc (v INTEGER, w INTEGER)")
+        traced_conn.execute("INSERT INTO pc VALUES (1, 2), (3, 4)")
+        traced_conn.execute(sql)
+        spans = traced_db.span_tracer.events()
+        root = [s for s in spans if s.kind == "statement"][-1]
+        phases = sorted(
+            (s for s in spans
+             if s.parent_id == root.span_id and s.kind == "phase"),
+            key=lambda s: s.start_ns,
+        )
+        assert [s.name for s in phases][-1] == "execute"
+        assert phases[0].start_ns == root.start_ns
+        for before, after in zip(phases, phases[1:]):
+            assert after.start_ns == before.end_ns
+
     def test_error_statement_closes_spans(self, traced_db, traced_conn):
         with pytest.raises(Exception):
             traced_conn.query("SELECT nope FROM missing_table")
