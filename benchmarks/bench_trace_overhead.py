@@ -12,8 +12,11 @@ the CI regression gate::
 
     PYTHONPATH=src python benchmarks/bench_trace_overhead.py --json out.json
 
-The standalone mode fails (exit 1) when the traced median exceeds the
-untraced median by more than ``--max-overhead`` (default 10%).
+The standalone mode loads one generated dataset into a traced and an
+untraced database and alternates traced and untraced runs of each query
+within every round, so host drift hits both sides alike.  It fails
+(exit 1) when the traced median exceeds the untraced median by more than
+``--max-overhead`` (default 10%).
 """
 
 import argparse
@@ -27,13 +30,19 @@ SCALE_FACTOR = 0.1
 QUERIES = (1, 6)
 
 
-def _open_connection(trace_spans: bool):
+def _dataset():
+    from repro.workloads.tpch import generate
+
+    return generate(SCALE_FACTOR, seed=42)
+
+
+def _open_connection(trace_spans: bool, data):
     from repro.core.database import Database
-    from repro.workloads.tpch import generate, load
+    from repro.workloads.tpch import load
 
     database = Database(None, trace_spans=trace_spans, result_cache=False)
     connection = database.connect()
-    load(connection, generate(SCALE_FACTOR, seed=42))
+    load(connection, data)
     return database, connection
 
 
@@ -49,7 +58,7 @@ def _sql(number: int) -> str:
 @pytest.fixture(scope="module", params=[False, True],
                 ids=["untraced", "traced"])
 def trace_conn(request):
-    database, connection = _open_connection(trace_spans=request.param)
+    database, connection = _open_connection(request.param, _dataset())
     yield connection
     database.shutdown()
 
@@ -63,14 +72,23 @@ def test_trace_overhead(benchmark, trace_conn, number):
 # -- standalone JSON mode (CI regression gate) --------------------------------------
 
 
-def _median_time(connection, sql: str, runs: int) -> float:
-    connection.query(sql)  # warm up (first touch materializes columns)
-    times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        connection.query(sql)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def _timed(connection, sql: str) -> float:
+    start = time.perf_counter()
+    connection.query(sql)
+    return time.perf_counter() - start
+
+
+def _interleaved_medians(untraced, traced, sql: str, runs: int):
+    """(untraced, traced) median seconds; each round times both, in an
+    order that alternates between rounds."""
+    connections = (untraced, traced)
+    for connection in connections:
+        connection.query(sql)  # warm up (first touch materializes columns)
+    times = ([], [])
+    for round_number in range(runs):
+        for side in (0, 1) if round_number % 2 == 0 else (1, 0):
+            times[side].append(_timed(connections[side], sql))
+    return statistics.median(times[0]), statistics.median(times[1])
 
 
 def main() -> int:
@@ -83,31 +101,25 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    results = []
-    for traced in (False, True):
-        database, connection = _open_connection(trace_spans=traced)
-        try:
-            for number in QUERIES:
-                seconds = _median_time(connection, _sql(number), args.runs)
-                results.append(
-                    {"query": f"Q{number}", "traced": traced,
-                     "median_s": round(seconds, 6)}
-                )
-        finally:
+    data = _dataset()
+    opened = []
+    medians = {}
+    try:
+        for traced in (False, True):
+            opened.append(_open_connection(traced, data))
+        (_, untraced_conn), (_, traced_conn) = opened
+        for number in QUERIES:
+            medians[f"Q{number}"] = _interleaved_medians(
+                untraced_conn, traced_conn, _sql(number), args.runs
+            )
+    finally:
+        for database, _ in opened:
             database.shutdown()
 
     report = []
     failures = []
-    for number in QUERIES:
-        name = f"Q{number}"
-        untraced = next(
-            r["median_s"] for r in results
-            if r["query"] == name and not r["traced"]
-        )
-        traced = next(
-            r["median_s"] for r in results
-            if r["query"] == name and r["traced"]
-        )
+    for name, (untraced, traced) in medians.items():
+        untraced, traced = round(untraced, 6), round(traced, 6)
         overhead = traced / untraced - 1.0 if untraced > 0 else 0.0
         report.append({
             "query": name,

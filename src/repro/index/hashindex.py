@@ -4,7 +4,9 @@ Physically a CSR layout over the *sorted distinct values* of the column:
 ``values`` (sorted unique), ``starts`` (group offsets), and ``rowids``
 (row numbers ordered by value).  Probing vectorizes to one
 ``np.searchsorted`` per probe array — behaviorally a bulk hash lookup,
-which is what MonetDB's hash BATs provide to joins and group-bys.
+which is what MonetDB's hash BATs provide to joins and group-bys.  The
+bulk kernels in :mod:`repro.mal.operators` build a transient one over key
+codes for grouping, distinct and the sort-merge join.
 """
 
 from __future__ import annotations
@@ -51,40 +53,34 @@ class HashIndex:
 
         For every probe value, every row holding that value is paired with
         the probe's position — the building block of a hash join where this
-        column is the build side.
+        column is the build side.  Pairs come out by probe position, and
+        the rows of one probe in row order.
         """
-        positions = np.searchsorted(self.values, probes)
-        positions = np.clip(positions, 0, max(0, len(self.values) - 1))
-        hit = np.zeros(len(probes), dtype=bool)
-        if len(self.values):
-            hit = self.values[positions] == probes
-        probe_idx_parts = []
-        row_idx_parts = []
-        hit_positions = np.flatnonzero(hit)
-        if len(hit_positions) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        group = positions[hit_positions]
+        positions, hit = self._lookup(probes)
+        hits = np.flatnonzero(hit)
         ends = np.append(self.starts, self.nrows)
+        group = positions[hits]
         counts = ends[group + 1] - ends[group]
-        probe_idx = np.repeat(hit_positions, counts)
-        # gather rowids per matched group: offsets within each group
-        total = int(counts.sum())
-        # build flat index: for each match, rowids[start : start+count]
-        starts = ends[group]
-        offsets = np.arange(total) - np.repeat(
+        # expand each hit into its group's slice of ``rowids``
+        offsets = np.arange(int(counts.sum())) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
-        row_idx = self.rowids[np.repeat(starts, counts) + offsets]
-        return probe_idx, row_idx
+        row_idx = self.rowids[np.repeat(ends[group], counts) + offsets]
+        return np.repeat(hits, counts), row_idx
 
     def contains(self, probes: np.ndarray) -> np.ndarray:
         """Vectorized membership test (semi-join support)."""
+        return self._lookup(probes)[1]
+
+    def _lookup(self, probes: np.ndarray):
+        """(candidate group, hit mask) per probe: one binary search each."""
         if not len(self.values):
-            return np.zeros(len(probes), dtype=bool)
+            return np.zeros(len(probes), dtype=np.int64), np.zeros(
+                len(probes), dtype=bool
+            )
         positions = np.searchsorted(self.values, probes)
-        positions = np.clip(positions, 0, len(self.values) - 1)
-        return self.values[positions] == probes
+        np.minimum(positions, len(self.values) - 1, out=positions)
+        return positions, self.values[positions] == probes
 
     @property
     def nbytes(self) -> int:

@@ -822,7 +822,7 @@ class Interpreter:
         keep = np.zeros(len(left[0].data), dtype=bool)
         keep[member_rows] = True
         firsts = ops.distinct_rows(left)
-        return np.array([r for r in firsts if keep[r]], dtype=np.int64)
+        return firsts[keep[firsts]]
 
     def _materialize_group(self, vecs: list) -> list:
         """Broadcast scalars to the group's shared cardinality.

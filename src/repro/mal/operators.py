@@ -1,9 +1,11 @@
 """Bulk relational operator kernels (grouping, joins, sorting, distinct).
 
 All kernels are "blocking" MAL operators in the paper's terminology: they
-consume whole columns and produce whole columns.  Composite keys are
-factorized into dense integer codes first, so every algorithm runs on plain
-int64 arrays regardless of the original key types.
+consume whole columns and produce whole columns.  Every kernel first turns
+its keys into int64 codes with :func:`factorize` — the one place key codes
+are made — so every algorithm runs on plain int64 arrays regardless of the
+original key types.  Grouping, distinct and joins then work on a
+:class:`~repro.index.hashindex.HashIndex` built over those codes.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DatabaseError
+from repro.index.hashindex import HashIndex
 from repro.mal.vectors import V
 from repro.storage import types as T
 
 __all__ = [
-    "key_codes",
+    "factorize",
     "group_by",
     "aggregate",
     "join_pairs",
@@ -28,63 +31,98 @@ __all__ = [
     "window_apply",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-def key_codes(vec: V) -> np.ndarray:
-    """Dense int64 codes for one key vector (equal values, equal codes).
 
-    Codes are *order-preserving* (produced by np.unique), which lets the
-    same encoding drive group-by, hash joins, sorting, and distinct.
+def factorize(*sides: list) -> list:
+    """Key codes for one or more sides in one shared code space.
+
+    Each side is a list of key vectors, one per key column, and every side
+    has the same columns.  Returns one int64 code array per side.  Two rows
+    of any sides get the same code exactly when their keys are equal under
+    grouping rules: NULL equals NULL and differs from every value (``''``
+    included), NaN is NULL, -0.0 equals 0.0, and integers compare exactly
+    in int64.  Within a column NULL gets the smallest code and values keep
+    their order, so composite codes order rows lexicographically.  Columns
+    combine by multiply-and-add; the running codes are re-densified only
+    when the product of the column cardinalities would overflow int64, so
+    codes are not necessarily dense.
     """
-    if vec.type.is_variable:
-        if vec.heap is not None and vec.heap.dedup_active:
-            # offsets are already value-unique: cheap path
-            _, inverse = np.unique(vec.data, return_inverse=True)
-            # offset order is not value order; re-rank via the heap values
-            distinct_offsets = np.unique(vec.data)
-            values = vec.heap.values_array()[distinct_offsets]
-            rank = np.argsort(
-                np.argsort(np.asarray([v if v is not None else "" for v in values]))
+
+    def dense(values):
+        if values.dtype == object:
+            # fixed-width NumPy strings sort far faster than Python objects
+            values = np.asarray(values.tolist())
+        uniques, inverse = np.unique(values, return_inverse=True)
+        return inverse.astype(np.int64, copy=False), len(uniques)
+
+    def dense_with_nulls(values, nulls):
+        """Code 0 for NULL, one plus the value's dense rank otherwise."""
+        ranks, card = dense(values[~nulls])
+        codes = np.zeros(len(values), dtype=np.int64)
+        codes[~nulls] = ranks + 1
+        return codes, card + 1
+
+    combined, space = None, 1
+    for column in zip(*sides):
+        if any(vec.type.is_variable for vec in column):
+            # rank the pooled values of all sides (a heap contributes each
+            # distinct slot once), then gather the codes back to the rows
+            values, rows, base = [], [], 0
+            for vec in column:
+                if vec.heap is not None:
+                    slots, inverse = np.unique(vec.data, return_inverse=True)
+                    values.append(vec.heap.values_array()[slots])
+                else:
+                    values.append(vec.data)
+                    inverse = np.arange(len(vec.data))
+                rows.append(inverse + base)
+                base += len(values[-1])
+            pooled = np.concatenate(values)
+            value_codes, card = dense_with_nulls(
+                pooled, np.equal(pooled, None).astype(bool)
             )
-            return rank[inverse].astype(np.int64)
-        objects = vec.objects()
-        keys = np.asarray([s if s is not None else "" for s in objects])
-        _, inverse = np.unique(keys, return_inverse=True)
-        codes = inverse.astype(np.int64) + 1
-        nulls = np.asarray([s is None for s in objects], dtype=bool)
-        if nulls.any():
-            codes[nulls] = 0  # NULL is its own group, distinct from ''
-        return codes
-    data = vec.data
-    if data.dtype.kind == "f":
-        # NaN (NULL) values: unify them into one code
-        data = np.where(np.isnan(data), -np.inf, data)
-    _, inverse = np.unique(data, return_inverse=True)
-    return inverse.astype(np.int64)
-
-
-def combine_codes(code_arrays: list) -> np.ndarray:
-    """Combine several dense code arrays into one (row-identity) code."""
-    combined = code_arrays[0]
-    for codes in code_arrays[1:]:
-        width = int(codes.max()) + 1 if len(codes) else 1
-        combined = combined * width + codes
-        # re-densify to keep values small
-        _, combined = np.unique(combined, return_inverse=True)
-        combined = combined.astype(np.int64)
-    return combined
+            codes = value_codes[np.concatenate(rows)]
+        else:
+            data = np.concatenate([vec.data for vec in column])
+            if data.dtype.kind != "f" and all(
+                vec.data.dtype == data.dtype for vec in column
+            ):
+                # one integer domain: the NULL sentinel is its minimum, so
+                # ranking the raw values gives NULL the smallest code
+                codes, card = dense(data)
+            else:
+                # floats (NaN is NULL) or integer widths whose NULL
+                # sentinels differ; the binder never mixes ints and floats
+                codes, card = dense_with_nulls(
+                    data,
+                    np.concatenate(
+                        [vec.type.is_null_array(vec.data) for vec in column]
+                    ),
+                )
+        if combined is None:
+            combined, space = codes, card
+            continue
+        if space * card > _INT64_MAX:
+            combined, space = dense(combined)
+        combined = combined * card + codes
+        space *= card
+    bounds = np.cumsum([len(side[0].data) for side in sides])[:-1]
+    return np.split(combined, bounds)
 
 
 def group_by(key_vecs: list) -> tuple:
     """Group rows by key vectors; returns (gids, reps, ngroups).
 
-    ``gids`` assigns each row its dense group id, ``reps`` holds the first
-    row of each group (for materializing group-key output columns).
+    ``gids`` assigns each row its dense group id (groups numbered in key
+    order), ``reps`` holds the first row of each group (for materializing
+    group-key output columns).
     """
     if not key_vecs:
         raise DatabaseError("group_by requires at least one key")
-    codes = combine_codes([key_codes(vec) for vec in key_vecs])
-    uniques, reps, gids = np.unique(codes, return_index=True, return_inverse=True)
-    return gids.astype(np.int64), reps.astype(np.int64), len(uniques)
+    (codes,) = factorize(key_vecs)
+    index = HashIndex(codes)
+    return index.group_ids(), index.representatives(), index.group_count()
 
 
 def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = False):
@@ -116,10 +154,9 @@ def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = Fal
     present = ~nulls if nulls is not None else np.ones(n, dtype=bool)
 
     if distinct:
-        codes = key_codes(arg)
-        pair = combine_codes([gids[present], codes[present]])
-        _, first = np.unique(pair, return_index=True)
-        keep = np.flatnonzero(present)[first]
+        rows = np.flatnonzero(present)
+        (pair,) = factorize([V(T.BIGINT, gids[rows]), arg.take(rows)])
+        keep = rows[HashIndex(pair).representatives()]
         gids = gids[keep]
         data = data[keep]
         arg = V(arg.type, data, arg.heap)
@@ -247,99 +284,41 @@ def _string_minmax(func: str, arg: V, gids, ngroups):
 # -- joins -----------------------------------------------------------------------------------
 
 
-def _shared_codes(left_vecs: list, right_vecs: list, null_equal: bool = False):
-    """Factorize both sides' composite keys into one shared code space.
-
-    NULL keys receive code -1 and never match — unless ``null_equal``,
-    where NULL keeps its per-column code and equals NULL (the grouping
-    semantics set operations and DISTINCT use).
-    """
-    left_parts = []
-    right_parts = []
-    nl = len(left_vecs[0].data) if left_vecs else 0
-    nr = len(right_vecs[0].data) if right_vecs else 0
-    left_null = np.zeros(nl, dtype=bool)
-    right_null = np.zeros(nr, dtype=bool)
-    for lv, rv in zip(left_vecs, right_vecs):
-        lnull = lv.null_mask(nl)
-        rnull = rv.null_mask(nr)
-        if lnull is not None:
-            left_null |= lnull
-        if rnull is not None:
-            right_null |= rnull
-        if lv.type.is_variable or rv.type.is_variable:
-            lobj = lv.objects()
-            robj = rv.objects()
-            both = np.concatenate(
-                [
-                    np.asarray([s if s is not None else "" for s in lobj]),
-                    np.asarray([s if s is not None else "" for s in robj]),
-                ]
-            )
-            _, inverse = np.unique(both, return_inverse=True)
-            inverse = inverse.astype(np.int64) + 1
-            null_cat = np.concatenate(
-                [
-                    lnull if lnull is not None else np.zeros(nl, dtype=bool),
-                    rnull if rnull is not None else np.zeros(nr, dtype=bool),
-                ]
-            )
-            inverse[null_cat] = 0  # NULL is its own key, distinct from ''
-        else:
-            ldata = lv.data.astype(np.float64, copy=False)
-            rdata = rv.data.astype(np.float64, copy=False)
-            both = np.concatenate([ldata, rdata])
-            both = np.where(np.isnan(both), -np.inf, both)
-            _, inverse = np.unique(both, return_inverse=True)
-        left_parts.append(inverse[:nl].astype(np.int64))
-        right_parts.append(inverse[nl:].astype(np.int64))
-    left_codes, right_codes = combine_joint(left_parts, right_parts)
+def _match_codes(left_vecs: list, right_vecs: list, null_equal: bool = False):
+    """Both sides' key codes; a row with a NULL key gets -1 and never
+    matches — unless ``null_equal``, where NULL equals NULL (the grouping
+    semantics set operations use)."""
+    codes = factorize(left_vecs, right_vecs)
     if null_equal:
-        return left_codes, right_codes
-    left_codes = left_codes.copy()
-    right_codes = right_codes.copy()
-    left_codes[left_null] = -1
-    right_codes[right_null] = -1
-    return left_codes, right_codes
+        return codes
+    return [
+        np.where(_any_null(vecs, len(side)), -1, side)
+        for vecs, side in zip((left_vecs, right_vecs), codes)
+    ]
 
 
-def combine_joint(left_parts: list, right_parts: list):
-    """Combine per-key codes of both sides consistently."""
-    left = left_parts[0]
-    right = right_parts[0]
-    for lp, rp in zip(left_parts[1:], right_parts[1:]):
-        width = int(max(lp.max(initial=0), rp.max(initial=0))) + 1
-        left = left * width + lp
-        right = right * width + rp
-    return left, right
+def _any_null(vecs: list, n: int) -> np.ndarray:
+    """Rows where at least one of ``vecs`` is NULL."""
+    mask = np.zeros(n, dtype=bool)
+    for vec in vecs:
+        nulls = vec.null_mask(n)
+        if nulls is not None:
+            mask |= nulls
+    return mask
 
 
 def join_pairs(left_vecs: list, right_vecs: list):
     """All matching (left_row, right_row) pairs of an equi-join.
 
-    Sort-merge style: the right side is ordered by key code once, the left
-    side probes with two binary searches per distinct code — the behavior of
-    a bulk hash join, implemented on sorted arrays.
+    Sort-merge style: the right side's codes are ordered once into a
+    :class:`HashIndex`, and the non-NULL left codes probe it with one
+    binary search each — the behavior of a bulk hash join, implemented on
+    sorted arrays.
     """
-    left_codes, right_codes = _shared_codes(left_vecs, right_vecs)
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    lo = np.searchsorted(sorted_codes, left_codes, side="left")
-    hi = np.searchsorted(sorted_codes, left_codes, side="right")
-    counts = hi - lo
-    valid = left_codes >= 0
-    counts = np.where(valid, counts, 0)
-    lidx = np.repeat(np.arange(len(left_codes), dtype=np.int64), counts)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    ridx = order[starts + offsets]
-    return lidx, ridx
+    left_codes, right_codes = _match_codes(left_vecs, right_vecs)
+    rows = np.flatnonzero(left_codes >= 0)
+    probe_idx, right_idx = HashIndex(right_codes).probe(left_codes[rows])
+    return rows[probe_idx], right_idx
 
 
 def semijoin_rows(
@@ -357,7 +336,7 @@ def semijoin_rows(
     an empty right side keeps every left row, any NULL on the right
     keeps none, and NULL left keys are dropped.
     """
-    left_codes, right_codes = _shared_codes(left_vecs, right_vecs, null_equal)
+    left_codes, right_codes = _match_codes(left_vecs, right_vecs, null_equal)
     if anti and null_aware:
         n = len(left_codes)
         if len(right_codes) == 0:
@@ -385,13 +364,7 @@ def sort_rows(key_vecs: list, descending: list, nulls_first: list) -> np.ndarray
     Default NULL placement follows MonetDB's sentinel encoding: NULLs sort
     as the smallest value unless ``nulls_first`` overrides it.
     """
-    sort_keys = []
-    n = len(key_vecs[0].data)
-    for vec, desc, nf in zip(key_vecs, descending, nulls_first):
-        codes = _sortable_codes(vec, n, nf, desc)
-        if desc:
-            codes = -codes
-        sort_keys.append(codes)
+    sort_keys = _sort_keys(key_vecs, descending, nulls_first)
     # np.lexsort sorts by the LAST key first
     return np.lexsort(sort_keys[::-1]).astype(np.int64)
 
@@ -415,12 +388,7 @@ def topn_rows(
     k = min(offset + limit, n)
     if k <= 0:
         return np.empty(0, dtype=np.int64)
-    sort_keys = []
-    for vec, desc, nf in zip(key_vecs, descending, nulls_first):
-        codes = _sortable_codes(vec, n, nf, desc)
-        if desc:
-            codes = -codes
-        sort_keys.append(codes)
+    sort_keys = _sort_keys(key_vecs, descending, nulls_first)
     primary = sort_keys[0]
     if k < n:
         # kth-smallest primary code; every row that can make the window has
@@ -436,22 +404,23 @@ def topn_rows(
     return candidates[order[:k]][offset:].astype(np.int64)
 
 
-def _sortable_codes(vec: V, n: int, nulls_first, descending: bool) -> np.ndarray:
-    """Per-key numeric codes whose ascending order is the key's order."""
-    if vec.type.is_variable:
-        codes = key_codes(vec).astype(np.float64)
-    else:
-        codes = vec.data.astype(np.float64, copy=True)
-        if vec.data.dtype.kind == "f":
-            codes = np.where(np.isnan(codes), -np.inf, codes)
-    nulls = vec.null_mask(n)
-    if nulls is not None and nulls.any():
-        # default: NULLs first on ascending order (sentinel = minimum)
-        first = nulls_first if nulls_first is not None else True
-        extreme = -np.inf if first != descending else np.inf
-        codes = codes.copy()
-        codes[nulls] = extreme
-    return codes
+def _sort_keys(key_vecs: list, descending: list, nulls_first: list) -> list:
+    """One int64 key per sort column whose ascending order is the wanted
+    order: codes negated for DESC, NULLs moved before every value (the
+    default, NULL being the sentinel minimum) or after every value."""
+    keys = []
+    for vec, desc, first in zip(key_vecs, descending, nulls_first):
+        (codes,) = factorize([vec])
+        if desc:
+            codes = -codes
+        nulls = vec.null_mask(len(codes))
+        if nulls is not None and nulls.any():
+            if first is None or first:
+                codes[nulls] = codes.min() - 1
+            else:
+                codes[nulls] = codes.max() + 1
+        keys.append(codes)
+    return keys
 
 
 # -- window functions ---------------------------------------------------------------------------
@@ -520,16 +489,9 @@ def window_context(
         return WindowContext(0, empty, empty, empty, empty, empty, empty, empty, 0)
 
     part_codes = (
-        combine_codes([key_codes(vec) for vec in part_vecs])
-        if part_vecs
-        else np.zeros(n, dtype=np.int64)
+        factorize(part_vecs)[0] if part_vecs else np.zeros(n, dtype=np.int64)
     )
-    order_codes = []
-    for vec, desc, nf in zip(order_vecs, descending, nulls_first):
-        codes = _sortable_codes(vec, n, nf, desc)
-        if desc:
-            codes = -codes
-        order_codes.append(codes)
+    order_codes = _sort_keys(order_vecs, descending, nulls_first)
     # np.lexsort sorts by the LAST key first: partition is primary, then
     # the ORDER BY keys in sequence; stability preserves input row order
     order = np.lexsort(tuple(order_codes[::-1]) + (part_codes,)).astype(np.int64)
@@ -751,6 +713,5 @@ def distinct_rows(vecs: list) -> np.ndarray:
     """Row ids of the first occurrence of each distinct full row."""
     if not vecs:
         return np.zeros(1, dtype=np.int64)
-    codes = combine_codes([key_codes(vec) for vec in vecs])
-    _, first = np.unique(codes, return_index=True)
-    return np.sort(first).astype(np.int64)
+    (codes,) = factorize(vecs)
+    return np.sort(HashIndex(codes).representatives())

@@ -1,5 +1,7 @@
 """Tests for the MAL layer: codegen/CSE, rendering, parallel chunking."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from repro.algebra.binder import bind_statement
 from repro.algebra.optimizer import optimize
 from repro.errors import QueryTimeoutError
 from repro.mal.codegen import compile_select
+from repro.mal.operators import factorize
 from repro.mal.vectors import BoolVec, V, vec_to_column
 from repro.sql.parser import parse_one
 from repro.storage import types as T
 from repro.storage.catalog import ColumnDef, TableSchema
+from repro.storage.stringheap import StringHeap
 
 
 def compile_sql(sql, schemas):
@@ -163,3 +167,64 @@ class TestVectors:
         assert column.to_python() == ["x", "x"]
         column = vec_to_column(V(T.DOUBLE, None), 2)
         assert column.to_python() == [None, None]
+
+
+def _assert_codes_follow_keys(keys: list, codes: np.ndarray):
+    """Codes are equal exactly when the key tuples are, and ordered like
+    them, with NULL (None) below every value."""
+
+    def rank(key):
+        return tuple((0,) if v is None else (1, v) for v in key)
+
+    for i, j in itertools.product(range(len(keys)), repeat=2):
+        assert (codes[i] == codes[j]) == (rank(keys[i]) == rank(keys[j])), (i, j)
+        assert (codes[i] < codes[j]) == (rank(keys[i]) < rank(keys[j])), (i, j)
+
+
+class TestFactorize:
+    def test_factorize_contract(self):
+        # strings: a deduplicating heap, a heap past its dedup threshold
+        # (equal values in different slots) and an object array share one
+        # code space; NULL is one code of its own, below ''
+        dedup = StringHeap()
+        blind = StringHeap(dedup_threshold=1)
+        sides = [
+            ["b", None, "", "a", "b", None],
+            ["b", "a", "b", None, ""],
+            ["a", "", None, "c"],
+        ]
+        codes = factorize(
+            [V(T.STRING, dedup.add_many(sides[0]), dedup)],
+            [V(T.STRING, blind.add_many(sides[1]), blind)],
+            [V(T.STRING, np.array(sides[2], dtype=object))],
+        )
+        _assert_codes_follow_keys(
+            [(v,) for side in sides for v in side], np.concatenate(codes)
+        )
+
+        # floats: NaN is NULL, -0.0 equals 0.0
+        floats = np.array([np.nan, -0.0, 1.5, 0.0, -np.inf, np.nan])
+        (codes,) = factorize([V(T.DOUBLE, floats)])
+        _assert_codes_follow_keys(
+            [(None,), (0.0,), (1.5,), (0.0,), (-np.inf,), (None,)], codes
+        )
+
+        # a 16-column composite over exact int64 boundary values: the
+        # cardinality product 16**16 overflows int64, which forces the
+        # re-densify branch; integers above 2**53 stay distinct
+        boundary = [0, 1, -1, 2**53, -(2**53), 2**53 + 1, -(2**53 + 1),
+                    2**63 - 1, -(2**63) + 1, 7, 8, 9, 10, 11, 12, None]
+        rng = np.random.default_rng(7)
+        columns = [rng.permutation(boundary).tolist() for _ in range(16)]
+        for column in columns:
+            column.append(column[0])  # the last row repeats the first key
+        assert len(boundary) ** 16 > np.iinfo(np.int64).max
+        vecs = [
+            V(T.BIGINT, np.array(
+                [T.BIGINT.to_storage(v) for v in column], dtype=np.int64
+            ))
+            for column in columns
+        ]
+        (codes,) = factorize(vecs)
+        _assert_codes_follow_keys(list(zip(*columns)), codes)
+        assert codes[0] == codes[-1]

@@ -19,6 +19,18 @@ _settings = settings(
 )
 
 
+#: exact-int64 edge values: the float64 rounding boundary around 2**53 and
+#: the BIGINT extremes (-2**63 is the NULL sentinel, so -2**63 + 1 is the
+#: smallest value)
+_INT64_BOUNDARY = [0, 1, -1, 2**53, -(2**53), 2**53 + 1, -(2**53 + 1),
+                   2**63 - 1, -(2**63) + 1]
+
+
+def _with_boundary(values):
+    """``values`` mixed with the int64 boundary values."""
+    return st.one_of(values, st.sampled_from(_INT64_BOUNDARY))
+
+
 @pytest.fixture(scope="module")
 def pdb():
     database = Database(None)
@@ -130,7 +142,11 @@ class TestAggregateProperties:
 
 
 class TestSortProperties:
-    @given(st.lists(st.integers(-1000, 1000), min_size=0, max_size=300))
+    @given(
+        st.lists(
+            _with_boundary(st.integers(-1000, 1000)), min_size=0, max_size=300
+        )
+    )
     @_settings
     def test_order_by_is_sorted(self, pdb, values):
         conn = fresh_table(pdb, values)
@@ -158,7 +174,9 @@ class TestSortProperties:
 
 
 class TestDistinctProperties:
-    @given(st.lists(st.integers(0, 20), min_size=0, max_size=200))
+    @given(
+        st.lists(_with_boundary(st.integers(0, 20)), min_size=0, max_size=200)
+    )
     @_settings
     def test_distinct_is_set(self, pdb, values):
         conn = fresh_table(pdb, values)
@@ -170,8 +188,8 @@ class TestDistinctProperties:
 
 class TestJoinProperties:
     @given(
-        st.lists(st.integers(0, 10), min_size=0, max_size=60),
-        st.lists(st.integers(0, 10), min_size=0, max_size=60),
+        st.lists(_with_boundary(st.integers(0, 10)), min_size=0, max_size=60),
+        st.lists(_with_boundary(st.integers(0, 10)), min_size=0, max_size=60),
     )
     @_settings
     def test_equijoin_cardinality(self, pdb, left_vals, right_vals):
