@@ -180,9 +180,10 @@ class EmbeddedRowstoreAdapter(DatabaseAdapter):
 class SocketAdapter(DatabaseAdapter):
     """A server configuration: engine + wire protocol over TCP.
 
-    ``in_process=False`` (the default for benchmarks) runs the server as a
-    separate Python process, as in the paper's client/server setups;
-    ``in_process=True`` uses a daemon thread (fast, used by tests).
+    Both modes run :class:`repro.server.AsyncServer`.  ``in_process=False``
+    (the default for benchmarks) starts it as a separate Python process,
+    as in the paper's client/server setups; ``in_process=True`` hosts it
+    in this process (fast, used by tests).
     """
 
     is_embedded = False
@@ -206,14 +207,18 @@ class SocketAdapter(DatabaseAdapter):
         self._tmpdir = None
 
     def setup(self, workdir: str | None = None):
-        from repro.server import RemoteConnection, Server, spawn_server_process
+        from repro.server import (
+            AsyncServer,
+            RemoteConnection,
+            spawn_server_process,
+        )
 
         if workdir is None:
             self._tmpdir = tempfile.mkdtemp(prefix="repro-server-")
             workdir = self._tmpdir
         Path(workdir).mkdir(parents=True, exist_ok=True)
         if self._in_process:
-            self._server = Server(
+            self._server = AsyncServer(
                 engine=self._engine,
                 protocol=self._protocol,
                 directory=f"{workdir}/server",

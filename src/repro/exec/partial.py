@@ -12,9 +12,9 @@ sum         per-group sums + non-null counts (int64 exact for INTEGER
 count(*)    per-group row counts
 count       per-group non-null counts
 avg         float sums + counts, divided after the merge
-min/max     per-group extremes in the float comparison domain (exact:
-            comparisons commute), mapped back to storage at the end;
-            object-domain best values for strings
+min/max     per-group extremes in the storage domain (int64-exact for
+            INTEGER/DECIMAL/DATE, float64 for FLOAT; comparisons
+            commute); object-domain best values for strings
 median      not decomposable into fixed-size state — the partial state
             is the morsel's (values, gids) pair and the merge sorts the
             combined multiset, which is order-insensitive
@@ -87,8 +87,14 @@ def partial_aggregate(
         best, missing = ops._string_minmax(func, arg, gids, ngroups)
         return PartialState(func, arg.type, ngroups, (best, missing))
 
-    floats = ops._as_float(arg, data, nulls)
     counts = np.bincount(gids[present], minlength=ngroups)
+    if func in ("min", "max"):
+        out = ops.group_extremes(
+            func, arg.type, data[present], gids[present], ngroups
+        )
+        return PartialState(func, arg.type, ngroups, (out, counts))
+
+    floats = ops._as_float(arg, data, nulls)
 
     if func == "sum":
         if arg.type.category in _EXACT_SUM_CATEGORIES:
@@ -104,12 +110,6 @@ def partial_aggregate(
             gids[present], weights=floats[present], minlength=ngroups
         )
         return PartialState(func, arg.type, ngroups, (sums, counts))
-    if func in ("min", "max"):
-        init = np.inf if func == "min" else -np.inf
-        out = np.full(ngroups, init, dtype=np.float64)
-        ufunc = np.minimum if func == "min" else np.maximum
-        ufunc.at(out, gids[present], floats[present])
-        return PartialState(func, arg.type, ngroups, (out, counts))
     if func == "median":
         return PartialState(
             func, arg.type, ngroups, (floats[present], gids[present])
@@ -169,25 +169,19 @@ def merge_partials(states: list, gid_maps: list, ngroups: int):
             out = total / counts
         return out, counts == 0
     if func in ("min", "max"):
-        init = np.inf if func == "min" else -np.inf
-        ufunc = np.minimum if func == "min" else np.maximum
-        out = np.full(ngroups, init, dtype=np.float64)
+        # a morsel's empty groups hold the identity, so merging them in is
+        # a no-op; the merge stays in the storage domain like the kernel
+        out = ops.group_extremes(
+            func,
+            arg_type,
+            np.concatenate([state.data[0] for state in states]),
+            np.concatenate(gid_maps),
+            ngroups,
+        )
         counts = np.zeros(ngroups, dtype=np.int64)
         for state, gmap in zip(states, gid_maps):
-            extremes, part_counts = state.data
-            ufunc.at(out, gmap, extremes)
-            np.add.at(counts, gmap, part_counts)
-        empty = counts == 0
-        if arg_type.category == T.TypeCategory.FLOAT:
-            return out, empty
-        # map back into the argument's storage domain (same finish as the
-        # blocking kernel in operators.aggregate)
-        if arg_type.category == T.TypeCategory.DECIMAL:
-            raw = np.round(out * 10**arg_type.scale)
-        else:
-            raw = out
-        raw = np.where(empty, 0, raw).astype(arg_type.dtype)
-        return raw, empty
+            np.add.at(counts, gmap, state.data[1])
+        return out, counts == 0
     if func == "median":
         values = np.concatenate([state.data[0] for state in states])
         gids = np.concatenate(

@@ -170,6 +170,12 @@ def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = Fal
     if arg.type.is_variable:
         return _string_minmax(func, arg, gids, ngroups)
 
+    if func in ("min", "max"):
+        out = group_extremes(
+            func, arg.type, data[present], gids[present], ngroups
+        )
+        return out, np.bincount(gids[present], minlength=ngroups) == 0
+
     floats = _as_float(arg, data, nulls)
 
     if func == "sum":
@@ -192,22 +198,6 @@ def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = Fal
         with np.errstate(invalid="ignore", divide="ignore"):
             out = sums / counts
         return out, counts == 0
-    if func in ("min", "max"):
-        init = np.inf if func == "min" else -np.inf
-        out = np.full(ngroups, init, dtype=np.float64)
-        ufunc = np.minimum if func == "min" else np.maximum
-        ufunc.at(out, gids[present], floats[present])
-        counts = np.bincount(gids[present], minlength=ngroups)
-        empty = counts == 0
-        if arg.type.category == T.TypeCategory.FLOAT:
-            return out, empty
-        # map back into the storage domain of the argument type
-        if arg.type.category == T.TypeCategory.DECIMAL:
-            raw = np.round(out * 10**arg.type.scale)
-        else:
-            raw = out
-        raw = np.where(empty, 0, raw).astype(arg.type.dtype)
-        return raw, empty
     if func == "median":
         return _median(floats, present, gids, ngroups)
     if func in ("stddev", "var"):
@@ -224,6 +214,27 @@ def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = Fal
             return variance, counts <= 1
         return np.sqrt(np.maximum(variance, 0)), counts <= 1
     raise DatabaseError(f"unknown aggregate {func!r}")
+
+
+def group_extremes(func: str, sql_type: T.SQLType, values, gids, ngroups: int):
+    """Per-group min/max of non-NULL ``values`` in the storage domain.
+
+    Integers, decimals and dates stay in their storage dtype, so no value
+    takes a float64 round trip; floats compare in float64.  Groups without
+    a value keep the identity (the dtype's far extreme) for the caller's
+    NULL mask to cover.
+    """
+    if sql_type.category == T.TypeCategory.FLOAT:
+        dtype = np.dtype(np.float64)
+        init = np.inf if func == "min" else -np.inf
+    else:
+        dtype = sql_type.dtype
+        info = np.iinfo(dtype)
+        init = info.max if func == "min" else info.min
+    out = np.full(ngroups, init, dtype=dtype)
+    ufunc = np.minimum if func == "min" else np.maximum
+    ufunc.at(out, gids, values.astype(dtype, copy=False))
+    return out
 
 
 def _as_float(arg: V, data: np.ndarray, nulls) -> np.ndarray:
@@ -680,33 +691,24 @@ def _window_running_extreme(func, sorted_arg, data_s, present, ctx, hi, cnt):
         mask = np.array([value is None for value in out])
         return out[ctx.inverse], mask[ctx.inverse]
 
-    floats = _as_float(sorted_arg, data_s, None)
-    pad = np.inf if func == "min" else -np.inf
-    floats = np.where(present, floats, pad)
-    finite = floats[np.isfinite(floats)]
-    span = float(finite.max() - finite.min()) if finite.size else 0.0
-    big = span + 1.0
-    # segmented cumulative extreme via the offset trick: shift each
-    # partition into its own disjoint value band (bands decrease for min,
-    # increase for max) so earlier partitions can never win inside later
-    # ones; all-NULL prefixes yield a garbage finite value that ``cnt``
-    # masks to NULL anyway
+    # segmented cumulative extreme over order-preserving value codes: each
+    # partition's codes shift into their own disjoint int64 band (bands
+    # decrease for min, increase for max) so earlier partitions can never
+    # win inside later ones; absent values get a code outside every value
+    # (below for max, above for min), and ``cnt`` masks all-NULL prefixes
+    (codes,) = factorize([sorted_arg])
+    ncodes = int(codes.max()) + 1 if n else 0
+    values = np.empty(ncodes, dtype=data_s.dtype)
+    values[codes] = data_s
+    band = ctx.part_ids.astype(np.int64) * (ncodes + 1)
     if func == "min":
-        shifted = floats - ctx.part_ids * big
-        run = np.minimum.accumulate(shifted) + ctx.part_ids * big
+        run = np.minimum.accumulate(np.where(present, codes, ncodes) - band)
+        run += band
     else:
-        shifted = floats + ctx.part_ids * big
-        run = np.maximum.accumulate(shifted) - ctx.part_ids * big
-    out = run[hi]
-    empty = cnt == 0
-    if sorted_arg.type.category == T.TypeCategory.FLOAT:
-        return out[ctx.inverse], empty[ctx.inverse]
-    if sorted_arg.type.category == T.TypeCategory.DECIMAL:
-        raw = np.round(out * 10**sorted_arg.type.scale)
-    else:
-        raw = out
-    raw = np.where(empty, 0, raw).astype(sorted_arg.type.dtype)
-    return raw[ctx.inverse], empty[ctx.inverse]
+        run = np.maximum.accumulate(np.where(present, codes, -1) + band)
+        run -= band
+    out = values[np.clip(run[hi], 0, max(ncodes - 1, 0))]
+    return out[ctx.inverse], (cnt == 0)[ctx.inverse]
 
 
 def distinct_rows(vecs: list) -> np.ndarray:

@@ -1,8 +1,7 @@
 """CLI entry point: ``python -m repro.server --engine columnar --port 0``.
 
-``--async`` serves through the asyncio front end
-(:class:`repro.server.aio.AsyncServer`) with admission control; the
-default remains the classic thread-per-connection server.
+Serves through :class:`repro.server.aio.AsyncServer` and prints
+``READY <port>`` once the listener is bound.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import signal
 import sys
 
 from repro.server.aio import AsyncServer
-from repro.server.server import Server
 
 
 def main(argv=None) -> int:
@@ -25,40 +23,31 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=None)
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="serve through the asyncio front end")
     parser.add_argument("--max-sessions", type=int, default=256,
-                        help="async: connection cap before shedding")
+                        help="connection cap before shedding")
     parser.add_argument("--queue-depth", type=int, default=128,
-                        help="async: global in-flight statement cap")
+                        help="global in-flight statement cap")
     parser.add_argument("--session-quota", type=int, default=8,
-                        help="async: per-session in-flight statement cap")
+                        help="per-session in-flight statement cap")
     parser.add_argument("--workers", type=int, default=8,
-                        help="async: execution worker threads")
+                        help="execution worker threads")
     parser.add_argument("--no-binary", action="store_true",
                         help="refuse binary result negotiation")
     args = parser.parse_args(argv)
 
-    common = dict(
+    server = AsyncServer(
         engine=args.engine,
         protocol=args.protocol,
         directory=args.directory,
         host=args.host,
         port=args.port,
         timeout=args.timeout,
+        max_sessions=args.max_sessions,
+        max_queue_depth=args.queue_depth,
+        session_quota=args.session_quota,
+        workers=args.workers,
         allow_binary=not args.no_binary,
-    )
-    if args.use_async:
-        server = AsyncServer(
-            **common,
-            max_sessions=args.max_sessions,
-            max_queue_depth=args.queue_depth,
-            session_quota=args.session_quota,
-            workers=args.workers,
-        )
-    else:
-        server = Server(**common)
-    server.start()
+    ).start()
     print(f"READY {server.port}", flush=True)
 
     stop = {"flag": False}

@@ -1,5 +1,10 @@
-"""Asyncio server front end: high-concurrency accept path with admission
-control, backpressure, and a bounded execution pool.
+"""The database server: an asyncio front end with admission control,
+backpressure, and a bounded execution pool.
+
+This is the one socket front end.  Every server configuration — the
+MonetDB/PostgreSQL/MariaDB stand-ins in :mod:`repro.bench.systems`, the
+``python -m repro.server`` process, and the tests — runs on
+:class:`AsyncServer`.
 
 Architecture (DESIGN.md §11):
 
@@ -10,7 +15,9 @@ Architecture (DESIGN.md §11):
 * **Bounded worker pool.**  Statements run on a ``ThreadPoolExecutor``
   via ``run_in_executor`` — the engine's kernels are NumPy-heavy and
   release the GIL, so pool threads give real overlap while the loop
-  stays responsive to thousands of idle sockets.
+  stays responsive to thousands of idle sockets.  The price is two
+  thread handoffs (loop → pool → loop) per statement, a few hundred
+  microseconds on a single client.
 * **Admission control.**  ``max_sessions`` caps concurrent connections:
   over-limit clients receive a clean ``E`` frame and are disconnected
   (never silently queued).  ``max_queue_depth`` caps statements queued
@@ -21,14 +28,18 @@ Architecture (DESIGN.md §11):
   statements finish (up to ``drain_timeout`` seconds) with their
   responses flushed, then tears down connections, pool, and engine.
 
-The per-message protocol logic is shared with the threaded server via
+The per-message protocol logic lives in
 :class:`repro.server.session.Session`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import selectors
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +54,7 @@ from repro.server.protocol import (
 )
 from repro.server.session import CLOSE, Session, open_engine
 
-__all__ = ["AsyncServer"]
+__all__ = ["AsyncServer", "spawn_server_process"]
 
 _HEADER_PACK = __import__("struct").Struct("<cI").pack
 
@@ -62,12 +73,20 @@ class _Connection:
 
 
 class AsyncServer:
-    """An asyncio database server with admission control.
+    """A localhost database server with admission control.
 
-    Drop-in alternative to :class:`repro.server.server.Server`: the event
-    loop runs in a daemon thread, so ``start()``/``stop()``/``port`` work
-    from synchronous code and tests.  Clients, protocol configs, and the
-    binary result format are identical between the two front ends.
+    ``engine`` selects the hosted engine: ``"columnar"`` (the MonetDB-server
+    configuration: same engine as MonetDBLite, but behind a socket) or
+    ``"rowstore"`` (the PostgreSQL/MariaDB-shaped configuration).  The
+    server creates its own engine instance directly — a server process is
+    its own deployment, so the embedded single-instance guard does not
+    apply to it.
+
+    The event loop runs in a daemon thread, so ``start()``/``stop()``/
+    ``port`` work from synchronous code and tests.  ``allow_binary`` gates
+    the negotiated binary columnar result format; disabling it makes the
+    server behave like one predating the ``N`` handshake (clients fall back
+    to text).  ``max_payload`` caps inbound frame sizes.
     """
 
     def __init__(
@@ -277,7 +296,6 @@ class AsyncServer:
             self.protocol,
             engine_kind=self.engine_kind,
             allow_binary=self.allow_binary,
-            client_tag="tcp-async",
         )
         conn = _Connection(session, asyncio.Queue(), writer)
         self._conns.add(conn)
@@ -454,3 +472,54 @@ class AsyncServer:
         finally:
             if conn in self._conns:
                 await self._teardown(conn)
+
+
+def spawn_server_process(
+    engine: str = "columnar",
+    protocol: str = "pg",
+    directory: str | None = None,
+    timeout: float | None = None,
+    startup_wait: float = 15.0,
+):
+    """Start a server in a separate Python process; returns (process, port).
+
+    The separate process gives the socket configurations their own memory
+    space and interpreter, as in the paper's client/server measurements.
+    A child that has not announced its port within ``startup_wait``
+    seconds is killed and :class:`DatabaseError` is raised.
+    """
+    args = [
+        sys.executable, "-m", "repro.server",
+        "--engine", engine, "--protocol", protocol, "--port", "0",
+    ]
+    if directory:
+        args += ["--directory", directory]
+    if timeout:
+        args += ["--timeout", str(timeout)]
+    process = subprocess.Popen(
+        args, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+    )
+    # raw reads under select(): a silent child must not block past the
+    # deadline, and no bytes may hide in a userspace buffer
+    fd = process.stdout.fileno()
+    deadline = time.monotonic() + startup_wait
+    received = b""
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while True:
+                for line in received.split(b"\n")[:-1]:
+                    if line.startswith(b"READY"):
+                        return process, int(line.split()[1])
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    raise DatabaseError("server process failed to start")
+                chunk = os.read(fd, 4096)
+                if not chunk:  # EOF: the child exited without announcing
+                    raise DatabaseError("server process failed to start")
+                received += chunk
+    except BaseException:
+        process.kill()
+        process.wait()
+        process.stdout.close()
+        raise

@@ -1,18 +1,15 @@
-"""Transport-agnostic wire session: one connection's protocol brain.
+"""Wire session: one connection's protocol brain.
 
-Both server front ends — the classic thread-per-connection
-:class:`repro.server.server.Server` and the asyncio
-:class:`repro.server.aio.AsyncServer` — speak the same protocol; this
-module holds the shared half.  A :class:`Session` owns one engine
-connection plus the negotiated capabilities and turns each incoming
-message into an ordered list of ``(type, payload)`` response frames.
-The transport decides *where* the handling runs (inline on the
-connection thread, or on a worker pool off the event loop) and how the
-frames reach the socket.
+:class:`repro.server.aio.AsyncServer` owns the sockets; this module holds
+the protocol logic.  A :class:`Session` owns one engine connection plus
+the negotiated capabilities and turns each incoming message into an
+ordered list of ``(type, payload)`` response frames.  The server decides
+where the handling runs (on a worker pool, off the event loop) and how
+the frames reach the socket.
 
-Handling is synchronous and self-contained, so the async server can run
-it on an executor thread: the contextvar-based trace wire context is
-set and reset inside :meth:`Session.handle`, never across threads.
+Handling is synchronous and self-contained, so the server can run it on
+an executor thread: the contextvar-based trace wire context is set and
+reset inside :meth:`Session.handle`, never across threads.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ class Session:
         *,
         engine_kind: str = "columnar",
         allow_binary: bool = True,
-        client_tag: str = "tcp",
     ):
         self.database = database
         self.conn = conn
@@ -72,9 +68,9 @@ class Session:
         self.allow_binary = allow_binary
         self.binary = False  # flips on when the client negotiates binary=1
         self.trace_ctx = None  # (trace_id, parent span id) from a 'T' frame
-        self.inflight = 0  # statements queued or executing (async server)
+        self.inflight = 0  # statements queued or executing
         if hasattr(conn, "client"):
-            conn.client = client_tag  # tag the session for sys.sessions
+            conn.client = "tcp"  # tag the session for sys.sessions
         self._tracer = getattr(database, "span_tracer", None)
         self._metrics = getattr(database, "metrics", None)
 
@@ -93,12 +89,19 @@ class Session:
     def _error_frames(exc) -> list:
         return [(b"E", str(exc).encode("utf-8")), (b"Z", b"")]
 
-    # -- COPY plumbing (the transport runs the d/c/f exchange) ----------------------
+    # -- COPY plumbing (the server runs the d/c/f exchange) -------------------------
 
     def needs_copy_data(self, payload: bytes) -> bool:
-        """True when a ``Q`` payload is a ``COPY ... FROM STDIN``."""
+        """True when a ``Q`` payload is a ``COPY ... FROM STDIN``.
+
+        Runs on the event loop for every statement, so it only parses a
+        payload that contains the bytes ``stdin``: ``FROM STDIN`` is the
+        contextual identifier ``stdin``, which no other spelling matches.
+        """
         if self.engine_kind != "columnar":
             return False  # rowstore engine has no COPY support
+        if b"stdin" not in payload.lower():
+            return False
         try:
             from repro.sql import ast
             from repro.sql.parser import parse
@@ -129,7 +132,7 @@ class Session:
         transport already ran the ``G``/``d``/``c`` exchange for a COPY
         statement; ``copy_aborted`` marks a client ``f`` frame.
         ``queue_wait_us`` is how long the statement sat in the worker
-        queue (async server) — recorded as a span when tracing.
+        queue — recorded as a span when tracing.
         """
         if mtype == b"X":
             return CLOSE

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DatabaseError, ProtocolError
-from repro.server import AsyncServer, RemoteConnection, Server
+from repro.server import AsyncServer, RemoteConnection
 from repro.server.binary import concat_columns, decode_block
 from repro.server.protocol import read_message, write_message
 
@@ -300,18 +300,6 @@ class TestBinaryResults:
                 cols = result.to_columns()
                 assert cols["v"].tolist() == list(range(20))
                 assert cols["s"].tolist() == [f"v{i}" for i in range(20)]
-
-    def test_binary_works_on_threaded_server_too(self, tmp_path):
-        with Server(
-            engine="columnar", protocol="pg", directory=str(tmp_path / "s")
-        ) as server:
-            with _connect(server, binary=True) as client:
-                assert client.binary is True
-                client.execute("CREATE TABLE t2 (v DOUBLE)")
-                client.execute("INSERT INTO t2 VALUES (1.5), (NULL)")
-                assert client.query(
-                    "SELECT v FROM t2 ORDER BY v"
-                ).fetchall() == [(None,), (1.5,)]
 
     def test_decode_rejects_truncated_blocks(self):
         with pytest.raises(ProtocolError, match="truncated header"):

@@ -680,9 +680,9 @@ class TestConcurrentInvalidation:
 class TestWireProtocol:
     @pytest.fixture()
     def remote(self):
-        from repro.server import RemoteConnection, Server
+        from repro.server import AsyncServer, RemoteConnection
 
-        with Server(engine="columnar") as server:
+        with AsyncServer(engine="columnar") as server:
             conn = RemoteConnection("127.0.0.1", server.port)
             yield conn
             conn.close()

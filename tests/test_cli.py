@@ -94,3 +94,42 @@ class TestServerCLI:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+    def test_spawn_gives_up_on_a_silent_child(self, monkeypatch):
+        """``startup_wait`` holds even while the child prints nothing."""
+        import threading
+
+        from repro.errors import DatabaseError
+        from repro.server import spawn_server_process
+
+        real_popen = subprocess.Popen
+        children = []
+
+        def silent_popen(args, **kwargs):
+            child = real_popen(
+                [sys.executable, "-c", "import time; time.sleep(60)"],
+                **kwargs,
+            )
+            children.append(child)
+            return child
+
+        monkeypatch.setattr(subprocess, "Popen", silent_popen)
+        outcome = []
+
+        def spawn():
+            try:
+                spawn_server_process(startup_wait=0.5)
+            except DatabaseError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=spawn, daemon=True)
+        thread.start()
+        thread.join(timeout=20)
+        try:
+            assert not thread.is_alive(), "startup_wait was not enforced"
+            assert len(outcome) == 1
+            assert children[0].poll() is not None  # the child was killed
+        finally:
+            for child in children:
+                child.kill()
+                child.wait(timeout=10)

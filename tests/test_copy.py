@@ -411,10 +411,9 @@ class TestCopyObservability:
 
 class TestCopyOverWire:
     def test_stream_in_and_out(self):
-        from repro.server.client import RemoteConnection
-        from repro.server.server import Server
+        from repro.server import AsyncServer, RemoteConnection
 
-        with Server(engine="columnar") as server:
+        with AsyncServer(engine="columnar") as server:
             with RemoteConnection("127.0.0.1", server.port) as remote:
                 remote.execute("CREATE TABLE w (a INTEGER, b VARCHAR)")
                 loaded = remote.copy_from(
@@ -427,10 +426,9 @@ class TestCopyOverWire:
                 assert nrows == 2 and text == "2,y\n3,z\n"
 
     def test_error_over_wire_keeps_connection_usable(self):
-        from repro.server.client import RemoteConnection
-        from repro.server.server import Server
+        from repro.server import AsyncServer, RemoteConnection
 
-        with Server(engine="columnar") as server:
+        with AsyncServer(engine="columnar") as server:
             with RemoteConnection("127.0.0.1", server.port) as remote:
                 remote.execute("CREATE TABLE w (a INTEGER)")
                 with pytest.raises(DatabaseError):
@@ -438,16 +436,47 @@ class TestCopyOverWire:
                 assert remote.query("SELECT count(*) FROM w").scalar() == 0
 
     def test_server_side_file_load(self, tmp_path):
-        from repro.server.client import RemoteConnection
-        from repro.server.server import Server
+        from repro.server import AsyncServer, RemoteConnection
 
         path = tmp_path / "srv.csv"
         path.write_text("5\n6\n")
-        with Server(engine="columnar") as server:
+        with AsyncServer(engine="columnar") as server:
             with RemoteConnection("127.0.0.1", server.port) as remote:
                 remote.execute("CREATE TABLE w (a INTEGER)")
                 remote.execute(f"COPY INTO w FROM '{path}'")
                 assert remote.query("SELECT count(*) FROM w").scalar() == 2
+
+    def test_copy_sniff_parses_only_stdin_payloads(self, monkeypatch):
+        """The server checks every statement for COPY FROM STDIN on its
+        event loop; only payloads naming ``stdin`` may reach the parser,
+        so each ordinary statement is parsed once, by the engine."""
+        import repro.sql.parser
+        from repro.server import PROTOCOLS
+        from repro.server.session import Session
+
+        parsed = []
+        real_parse = repro.sql.parser.parse
+
+        def counting_parse(sql):
+            parsed.append(sql)
+            return real_parse(sql)
+
+        monkeypatch.setattr(repro.sql.parser, "parse", counting_parse)
+        session = Session(None, object(), PROTOCOLS["pg"])
+        for payload in (
+            b"SELECT 1",
+            b"INSERT INTO t VALUES (1, 'x')",
+            b"COPY INTO t FROM '/data/t.csv'",
+            b"COPY (SELECT 1) TO STDOUT",
+        ):
+            assert session.needs_copy_data(payload) is False
+        assert parsed == []
+        assert session.needs_copy_data(b"copy into t from stdin") is True
+        assert session.needs_copy_data(b"COPY INTO t FROM StdIn") is True
+        # the sniff is a pre-filter, not a verdict: a string literal
+        # naming stdin still goes through the parser and is rejected
+        assert session.needs_copy_data(b"SELECT 'stdin'") is False
+        assert len(parsed) == 3
 
 
 # -- loader internals ------------------------------------------------------------------

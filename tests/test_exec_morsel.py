@@ -170,6 +170,25 @@ def test_partial_string_minmax_merge():
     assert not got_nulls.any() and not expected_nulls.any()
 
 
+@pytest.mark.parametrize("func", ["min", "max"])
+def test_partial_bigint_minmax_is_exact(func):
+    """Extremes beyond 2^53 survive partial states and the merge."""
+    top = np.iinfo(np.int64).max
+    data = np.array(
+        [2**53, 2**53 + 1, top - 1, top, T.BIGINT.null_value, -(2**53) - 1],
+        dtype=np.int64,
+    )
+    gids = np.array([0, 0, 1, 1, 2, 0], dtype=np.int64)
+    arg = V(T.BIGINT, data)
+    expected, expected_nulls = ops.aggregate(func, arg, gids, 3)
+    states, maps = _split_states(func, arg, gids, 3, [(0, 1), (1, 4), (4, 6)])
+    got, got_nulls = merge_partials(states, maps, 3)
+    want = [-(2**53) - 1, top - 1] if func == "min" else [2**53 + 1, top]
+    assert expected.dtype == got.dtype == np.int64
+    assert expected[:2].tolist() == got[:2].tolist() == want
+    assert expected_nulls.tolist() == got_nulls.tolist() == [False, False, True]
+
+
 def test_partial_empty_groups_stay_null():
     arg = V(T.INTEGER, np.array([T.INTEGER.null_value] * 4, dtype=np.int32))
     gids = np.array([0, 0, 1, 1], dtype=np.int64)
@@ -400,6 +419,24 @@ def test_corpus_matches_under_morsel(path):
     )
     seq = _corpus_outcome(setup, query)
     assert par == seq
+
+
+def test_bigint_minmax_exact_under_morsel():
+    """Sequential and morsel runs agree on the exact int64 answer."""
+    top = 2**63 - 1
+    setup = [
+        "CREATE TABLE t0 (g INTEGER, a BIGINT)",
+        "INSERT INTO t0 VALUES "
+        f"(1, {2**53}), (1, {2**53 + 1}), (2, {top - 1}), (2, {top}), "
+        "(3, NULL)",
+    ]
+    query = "SELECT g, max(a) - min(a), max(a) FROM t0 GROUP BY g"
+    expected = [(1, 1, 2**53 + 1), (2, 1, top), (3, None, None)]
+    par = _corpus_outcome(
+        setup, query, parallel=True, max_workers=4, min_parallel_rows=1,
+        morsel_rows=2,
+    )
+    assert par == _corpus_outcome(setup, query) == expected
 
 
 # -- executor state / observability ------------------------------------------

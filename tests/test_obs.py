@@ -265,9 +265,9 @@ class TestTraceCardinalities:
 
 class TestServerStats:
     def test_wire_byte_counters(self, tmp_path):
-        from repro.server import RemoteConnection, Server
+        from repro.server import AsyncServer, RemoteConnection
 
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="pg", directory=str(tmp_path / "s")
         ) as server:
             client = RemoteConnection("127.0.0.1", server.port, "pg")

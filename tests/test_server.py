@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DatabaseError
-from repro.server import PROTOCOLS, RemoteConnection, Server
+from repro.server import PROTOCOLS, AsyncServer, RemoteConnection
 from repro.server.protocol import (
     decode_rows,
     encode_rows,
@@ -100,7 +100,7 @@ class TestFieldCodec:
 @pytest.fixture(scope="module", params=["columnar", "rowstore"])
 def remote(request, tmp_path_factory):
     directory = str(tmp_path_factory.mktemp(f"server-{request.param}"))
-    server = Server(
+    server = AsyncServer(
         engine=request.param, protocol="pg", directory=directory
     ).start()
     client = RemoteConnection("127.0.0.1", server.port, "pg")
@@ -168,7 +168,7 @@ class TestRemoteExecution:
 
 class TestProtocols:
     def test_block_protocol_batches(self, tmp_path):
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="monetdb",
             directory=str(tmp_path / "s"),
         ) as server:
@@ -183,7 +183,7 @@ class TestProtocols:
             client.close()
 
     def test_mysql_length_prefixed(self, tmp_path):
-        with Server(
+        with AsyncServer(
             engine="rowstore", protocol="mysql",
             directory=str(tmp_path / "s"),
         ) as server:
@@ -194,7 +194,7 @@ class TestProtocols:
             client.close()
 
     def test_multiple_clients_isolated_results(self, tmp_path):
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="pg", directory=str(tmp_path / "s")
         ) as server:
             first = RemoteConnection("127.0.0.1", server.port, "pg")

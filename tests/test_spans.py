@@ -399,9 +399,9 @@ class TestExports:
 
 class TestWirePropagation:
     def test_client_and_server_spans_merge(self, tmp_path):
-        from repro.server import RemoteConnection, Server
+        from repro.server import AsyncServer, RemoteConnection
 
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="pg",
             directory=str(tmp_path / "srv"),
         ) as server:
@@ -428,9 +428,9 @@ class TestWirePropagation:
         assert rendered.splitlines()[0].startswith("client.query")
 
     def test_trace_context_clears(self, tmp_path):
-        from repro.server import RemoteConnection, Server
+        from repro.server import AsyncServer, RemoteConnection
 
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="pg",
             directory=str(tmp_path / "srv2"),
         ) as server:
@@ -447,9 +447,9 @@ class TestWirePropagation:
 
     def test_malformed_traceparent_is_an_error(self, tmp_path):
         from repro.errors import DatabaseError
-        from repro.server import RemoteConnection, Server
+        from repro.server import AsyncServer, RemoteConnection
 
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="pg",
             directory=str(tmp_path / "srv3"),
         ) as server:

@@ -324,9 +324,9 @@ class TestSysSessionsAndMetrics:
 class TestServerMetrics:
     def test_metrics_wire_command(self):
         from repro.server.client import RemoteConnection
-        from repro.server.server import Server
+        from repro.server import AsyncServer
 
-        with Server(engine="columnar", protocol="monetdb") as server:
+        with AsyncServer(engine="columnar", protocol="monetdb") as server:
             with RemoteConnection("127.0.0.1", server.port, "monetdb") as rc:
                 rc.execute("CREATE TABLE wire (v INTEGER)")
                 rc.execute("INSERT INTO wire VALUES (1), (2)")

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.errors import DatabaseError, ProtocolError
-from repro.server import AsyncServer, RemoteConnection, Server
+from repro.server import AsyncServer, RemoteConnection
 from repro.server.protocol import (
     MAX_PAYLOAD,
     read_message,
@@ -65,11 +65,12 @@ class TestFraming:
         assert read_message(buf, max_payload=100)[1] == b"x" * 100
 
 
-@pytest.fixture(scope="module", params=["threaded", "asyncio"])
+@pytest.fixture(scope="module", params=["asyncio"])
 def edge_server(request, tmp_path_factory):
     directory = str(tmp_path_factory.mktemp(f"edge-{request.param}"))
-    cls = Server if request.param == "threaded" else AsyncServer
-    with cls(engine="columnar", protocol="pg", directory=directory) as server:
+    with AsyncServer(
+        engine="columnar", protocol="pg", directory=directory
+    ) as server:
         yield server
 
 
@@ -148,7 +149,7 @@ class TestClientTimeouts:
         listener.close()
 
     def test_per_call_timeout_override(self, tmp_path):
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="pg", directory=str(tmp_path / "s")
         ) as server:
             client = RemoteConnection(
@@ -182,7 +183,7 @@ class TestClientTimeouts:
 class TestNegotiationFallback:
     def test_binary_client_against_text_only_server(self, tmp_path):
         """allow_binary=False mimics a server predating the N frame."""
-        with Server(
+        with AsyncServer(
             engine="columnar",
             protocol="pg",
             directory=str(tmp_path / "s"),
@@ -210,7 +211,7 @@ class TestNegotiationFallback:
             client.close()
 
     def test_unknown_capabilities_ignored(self, tmp_path):
-        with Server(
+        with AsyncServer(
             engine="columnar", protocol="pg", directory=str(tmp_path / "s")
         ) as server:
             client = RemoteConnection("127.0.0.1", server.port, "pg")
